@@ -11,6 +11,7 @@ use fedroad_core::{Method, QueryEngine, QueryStats};
 use fedroad_graph::ch::contraction_order;
 use fedroad_graph::traffic::CongestionLevel;
 use fedroad_mpc::NetworkModel;
+use std::sync::Arc;
 
 /// Aggregated means of one (method, group) cell.
 #[derive(Clone, Copy, Default)]
@@ -63,15 +64,21 @@ pub fn run_method(
 }
 
 /// Builds the shared shortcut index for a federation (one construction
-/// serves every shortcut-based method in a sweep).
-pub fn shared_index(bench: &mut crate::setup::Bench) -> FedChIndex {
+/// serves every shortcut-based method in a sweep, shared by `Arc`).
+pub fn shared_index(bench: &mut crate::setup::Bench) -> Arc<FedChIndex> {
     let config = Method::FedRoad.config();
     let order = contraction_order(bench.fed.graph(), config.order_seed);
     let n = order.len();
     let core = ((n as f64) * config.core_fraction).ceil().max(1.0) as usize;
     let (graph, silos, engine) = bench.fed.split_mut();
     let mut cmp = SacComparator::new(engine);
-    FedChIndex::build(graph, silos, &order, core.min(n), &mut cmp)
+    Arc::new(FedChIndex::build(
+        graph,
+        silos,
+        &order,
+        core.min(n),
+        &mut cmp,
+    ))
 }
 
 /// Runs the full sweep.

@@ -5,7 +5,7 @@
 use crate::experiments::fig7_8::shared_index;
 use crate::report::{heading, table, Reporter};
 use crate::setup::{self, DEFAULT_SILOS};
-use fedroad_core::SacComparator;
+use fedroad_core::{FedChIndex, SacComparator};
 use fedroad_graph::traffic::CongestionLevel;
 use fedroad_graph::ArcId;
 use rand::seq::SliceRandom;
@@ -34,7 +34,7 @@ pub fn run(quick: bool) -> Reporter {
         for &frac in &CHANGE_FRACTIONS {
             // Independent perturbation per fraction, on a fresh copy of the
             // index and silo-0 weights.
-            let mut index = index.clone();
+            let mut index = FedChIndex::clone(&index);
             let k = ((m as f64) * frac).ceil() as usize;
             let mut arc_ids: Vec<u32> = (0..m as u32).collect();
             arc_ids.shuffle(&mut rng);
@@ -68,10 +68,9 @@ pub fn run(quick: bool) -> Reporter {
                     let (s, t) = (fedroad_graph::VertexId(s), fedroad_graph::VertexId(t));
                     let truth = oracle.spsp_scaled(&bench.fed, s, t).unwrap().0;
                     let path = {
-                        let graph = bench.fed.graph().clone();
-                        let (_, _, engine) = bench.fed.split_mut();
+                        let (graph, _, engine) = bench.fed.split_mut();
                         let mut cmp = SacComparator::new(engine);
-                        let view = FedChView::new(&index, &graph);
+                        let view = FedChView::new(&index, graph);
                         let mut zero = ZeroFedPotential::new(num_silos);
                         fed_spsp(
                             &view,

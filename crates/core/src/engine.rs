@@ -4,16 +4,21 @@
 //! An engine is built once per federation and configuration (which index,
 //! which lower bound, which priority queue — the knobs of the paper's
 //! comparative analysis, §VIII-B) and then serves SPSP and kNN queries.
+//!
+//! Every SPSP query, here, in [`crate::executor`] and in
+//! [`crate::security`], runs against an [`IndexSnapshot`] — `Arc` handles
+//! to the federation's graph and silo weights and this engine's indexes —
+//! and differs only in the comparator it passes.
 
 // Protocol hot path: a malformed message must become a typed error,
 // never a panic (see fedroad-lint rule `no-panic-hot-path`).
 #![deny(clippy::unwrap_used)]
 
+use crate::executor::IndexSnapshot;
 use crate::fedch::{CustomizeStats, FedChIndex};
 use crate::federation::Federation;
-use crate::lb::{FedPotential, LandmarkPartials, LowerBoundKind};
-use crate::partials::{JointComparator, SacComparator};
-use crate::spsp::SpspOutcome;
+use crate::lb::{LandmarkPartials, LowerBoundKind};
+use crate::partials::SacComparator;
 use crate::sssp::{fed_sssp, FedSsspResult};
 use crate::view::BaseView;
 use fedroad_graph::ch::contraction_order;
@@ -21,6 +26,7 @@ use fedroad_graph::landmarks::{select_landmarks, LandmarkTable};
 use fedroad_graph::{ArcId, Direction, Path, VertexId};
 use fedroad_mpc::{NetworkModel, SacStats};
 use fedroad_queue::{CompareCounts, QueueKind};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Engine configuration: the three optimization knobs of the paper.
@@ -188,9 +194,9 @@ pub struct QueryResult {
 #[derive(Debug)]
 pub struct QueryEngine {
     config: EngineConfig,
-    fedch: Option<FedChIndex>,
-    landmark_partials: Option<LandmarkPartials>,
-    static_table: Option<LandmarkTable>,
+    fedch: Option<Arc<FedChIndex>>,
+    landmark_partials: Option<Arc<LandmarkPartials>>,
+    static_table: Option<Arc<LandmarkTable>>,
     preprocessing: QueryStats,
 }
 
@@ -205,25 +211,32 @@ impl QueryEngine {
     /// Like [`Self::build`], but reuses a previously built shortcut index
     /// when the configuration wants one — the index depends only on the
     /// federation and the order/core parameters, not on the lower bound or
-    /// queue choice, so experiment sweeps share one construction.
+    /// queue choice, so experiment sweeps share one construction (by
+    /// `Arc`, without copying it).
     pub fn build_with(
         fed: &mut Federation,
         config: EngineConfig,
-        shared_index: Option<&FedChIndex>,
+        shared_index: Option<&Arc<FedChIndex>>,
     ) -> Self {
         let before = fed.sac_cumulative_stats();
         let start = Instant::now();
         let _span = fedroad_obs::span("engine.build");
 
         let fedch = config.use_shortcuts.then(|| match shared_index {
-            Some(index) => index.clone(),
+            Some(index) => Arc::clone(index),
             None => {
                 let order = contraction_order(fed.graph(), config.order_seed);
                 let n = order.len();
                 let core_size = ((n as f64) * config.core_fraction).ceil().max(1.0) as usize;
                 let (graph, silos, engine) = fed.split_mut();
                 let mut cmp = SacComparator::new(engine);
-                FedChIndex::build(graph, silos, &order, core_size.min(n), &mut cmp)
+                Arc::new(FedChIndex::build(
+                    graph,
+                    silos,
+                    &order,
+                    core_size.min(n),
+                    &mut cmp,
+                ))
             }
         });
 
@@ -243,7 +256,7 @@ impl QueryEngine {
                 let mut cmp = SacComparator::new(engine);
                 let view = BaseView::new(graph, silos);
                 let tables = LandmarkPartials::build(&view, num_silos, &landmarks, &mut cmp);
-                (Some(tables), Some(static_table))
+                (Some(Arc::new(tables)), Some(Arc::new(static_table)))
             }
             None => (None, None),
         };
@@ -274,27 +287,24 @@ impl QueryEngine {
 
     /// The shortcut index, when configured (test/bench hook).
     pub fn fedch(&self) -> Option<&FedChIndex> {
-        self.fedch.as_ref()
+        self.fedch.as_deref()
     }
 
-    /// The landmark partial tables, when configured.
-    pub(crate) fn landmark_partials(&self) -> Option<&LandmarkPartials> {
-        self.landmark_partials.as_ref()
-    }
-
-    /// The static landmark table, when configured.
-    pub(crate) fn static_table(&self) -> Option<&LandmarkTable> {
-        self.static_table.as_ref()
-    }
-
-    /// Captures an immutable, `Arc`-shareable snapshot of everything
-    /// queries read — configuration, topology, silo weights, and this
-    /// engine's indexes — for concurrent execution via
-    /// [`BatchExecutor`](crate::executor::BatchExecutor). The snapshot is
-    /// frozen: later weight refreshes or
-    /// [`Self::update_index`] calls on the live federation don't reach it.
-    pub fn snapshot(&self, fed: &Federation) -> crate::executor::IndexSnapshot {
-        crate::executor::IndexSnapshot::capture(self, fed)
+    /// The state every query reads — configuration, topology, silo
+    /// weights, and this engine's indexes — as `Arc` handles, for the
+    /// sequential path below and for concurrent execution via
+    /// [`BatchExecutor`](crate::executor::BatchExecutor). Capturing copies
+    /// nothing, and the snapshot stays frozen: later weight refreshes or
+    /// [`Self::update_index`] calls copy on write instead of reaching it.
+    pub fn snapshot(&self, fed: &Federation) -> IndexSnapshot {
+        IndexSnapshot {
+            config: self.config,
+            graph: Arc::clone(&fed.graph),
+            silos: Arc::clone(&fed.silos),
+            fedch: self.fedch.clone(),
+            landmark_partials: self.landmark_partials.clone(),
+            static_table: self.static_table.clone(),
+        }
     }
 
     /// Answers a single-pair shortest-path query.
@@ -305,24 +315,12 @@ impl QueryEngine {
         let start = Instant::now();
         let _span = fedroad_obs::span("query.spsp");
         let outcome = {
-            let num_silos = fed.num_silos();
-            let graph = fed.graph().clone();
-            let mut potential = self.make_potential(fed, s, t);
-            let (g, silos, engine) = fed.split_mut();
-            let mut cmp = SacComparator::new(engine);
+            let snapshot = self.snapshot(fed);
+            let mut cmp = SacComparator::new(fed.engine_mut());
             if self.config.batch_rounds {
                 cmp = cmp.with_batching();
             }
-            self.run_spsp(
-                g,
-                silos,
-                num_silos,
-                s,
-                t,
-                potential.as_mut(),
-                &mut cmp,
-                &graph,
-            )
+            snapshot.run_spsp(s, t, &mut cmp)
         };
         let wall = start.elapsed().as_secs_f64();
         let mut stats = QueryStats::from_delta(&before, &fed.sac_cumulative_stats(), wall);
@@ -377,53 +375,6 @@ impl QueryEngine {
             },
         };
         (result, trace)
-    }
-
-    /// Internal SPSP entry point parameterized by comparator — the
-    /// security module uses this to replay a query against a recorded bit
-    /// transcript.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_spsp(
-        &self,
-        graph: &fedroad_graph::Graph,
-        silos: &[crate::federation::SiloWeights],
-        num_silos: usize,
-        s: VertexId,
-        t: VertexId,
-        potential: &mut dyn FedPotential,
-        cmp: &mut dyn JointComparator,
-        full_graph: &fedroad_graph::Graph,
-    ) -> SpspOutcome {
-        crate::executor::QueryParts {
-            config: self.config,
-            num_silos,
-            graph,
-            silos,
-            full_graph,
-            fedch: self.fedch.as_ref(),
-        }
-        .run_spsp(s, t, potential, cmp)
-    }
-
-    /// Builds the per-query potential object for this configuration.
-    pub(crate) fn make_potential(
-        &self,
-        fed: &Federation,
-        s: VertexId,
-        t: VertexId,
-    ) -> Box<dyn FedPotential + '_> {
-        crate::executor::make_potential(
-            self.config.lower_bound,
-            fed.num_silos(),
-            fed.graph(),
-            fed.silos(),
-            crate::executor::LandmarkRefs {
-                partials: self.landmark_partials.as_ref(),
-                static_table: self.static_table.as_ref(),
-            },
-            s,
-            t,
-        )
     }
 
     /// Answers a kNN (truncated single-source) query: the `k` vertices
@@ -485,13 +436,20 @@ impl QueryEngine {
     }
 
     /// Propagates a real-time weight refresh into the shortcut index
-    /// (§IV "Federated Index Updating"). No-op without an index.
+    /// (§IV "Federated Index Updating"). No-op without an index. An empty
+    /// change list leaves the index, and any snapshot sharing it,
+    /// untouched; otherwise the index is copied first if a snapshot still
+    /// holds it.
     pub fn update_index(
         &mut self,
         fed: &mut Federation,
         changed_arcs: &[ArcId],
     ) -> Option<CustomizeStats> {
         let index = self.fedch.as_mut()?;
+        if changed_arcs.is_empty() {
+            return Some(CustomizeStats::default());
+        }
+        let index = Arc::make_mut(index);
         let (graph, silos, engine) = fed.split_mut();
         let mut cmp = SacComparator::new(engine);
         Some(index.update(graph, silos, changed_arcs, &mut cmp))

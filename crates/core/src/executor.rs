@@ -11,17 +11,22 @@
 //! This module splits serving-time state along that line:
 //!
 //! * [`IndexSnapshot`] — everything read-only a query needs (topology,
-//!   per-silo weights, FedCh shortcuts, landmark tables), `Arc`-shared so
-//!   any number of worker threads query it concurrently without touching
-//!   the mutable [`Federation`](crate::federation::Federation).
+//!   per-silo weights, FedCh shortcuts, landmark tables), held as `Arc`s
+//!   shared with the live federation and engine, so any number of worker
+//!   threads query it concurrently without touching the mutable
+//!   [`Federation`](crate::federation::Federation). Its `run_spsp` is the
+//!   one query dispatch every caller goes through.
 //! * [`SessionComparator`] *(internal)* — per-query session state: a
 //!   [`JointComparator`] that routes every ready comparison through a
 //!   shared [`BatchScheduler`], where duels from many in-flight queries
 //!   coalesce into one protocol round.
-//! * [`BatchExecutor`] — the worker pool: N queries, W workers, one
-//!   scheduler; returns per-query [`QueryResult`]s (identical to
-//!   sequential execution — pinned by the differential suite) plus a
-//!   [`BatchReport`] of what coalescing bought.
+//! * [`LiveExecutor`] — the worker pool: N queries, W workers, one
+//!   scheduler, each query answered by whatever snapshot a
+//!   [`SnapshotCell`] holds when it starts.
+//! * [`BatchExecutor`] — a [`LiveExecutor`] over a cell nobody publishes
+//!   to; returns per-query [`QueryResult`]s (identical to sequential
+//!   execution — pinned by the differential suite) plus a [`BatchReport`]
+//!   of what coalescing bought.
 //!
 //! Per-query **round/byte attribution is undefined** under cross-query
 //! coalescing — a merged round belongs to every query it carries — so
@@ -31,14 +36,14 @@
 
 use crate::engine::{EngineConfig, QueryResult, QueryStats};
 use crate::fedch::{FedChIndex, FedChView};
-use crate::federation::{Federation, SiloWeights};
+use crate::federation::SiloWeights;
 use crate::lb::{
     FedAltMaxPotential, FedAltPotential, FedAmpsPotential, FedPotential, LandmarkPartials,
     LowerBoundKind, ZeroFedPotential,
 };
 use crate::partials::{to_ring, JointComparator, PartialKey};
 use crate::spsp::{fed_spsp, SpspOutcome};
-use crate::view::BaseView;
+use crate::view::{BaseView, SearchView};
 use fedroad_graph::landmarks::LandmarkTable;
 use fedroad_graph::{Graph, VertexId};
 use fedroad_mpc::{BatchScheduler, DuelTicket, SacSession, SacStats, SchedulerStats};
@@ -48,143 +53,24 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The read-only inputs of one SPSP query — the seam shared by the
-/// sequential engine (which borrows them out of a live federation each
-/// call, preserving its live-update semantics) and [`IndexSnapshot`]
-/// (which owns frozen copies). Keeping a single implementation of the
-/// dispatch makes "batch equals sequential" true by construction.
-pub(crate) struct QueryParts<'a> {
-    pub(crate) config: EngineConfig,
-    pub(crate) num_silos: usize,
-    /// Base-network view (pairs with `silos`).
-    pub(crate) graph: &'a Graph,
-    pub(crate) silos: &'a [SiloWeights],
-    /// Topology backing the shortcut view. Same graph content as `graph`;
-    /// a separate reference because the sequential path materializes it
-    /// from a clone to satisfy `split_mut` borrows.
-    pub(crate) full_graph: &'a Graph,
-    pub(crate) fedch: Option<&'a FedChIndex>,
-}
-
-impl QueryParts<'_> {
-    /// Dispatches one SPSP search over the configured view.
-    pub(crate) fn run_spsp(
-        &self,
-        s: VertexId,
-        t: VertexId,
-        potential: &mut dyn FedPotential,
-        cmp: &mut dyn JointComparator,
-    ) -> SpspOutcome {
-        match self.fedch {
-            Some(index) => {
-                let view = FedChView::new(index, self.full_graph);
-                fed_spsp(
-                    &view,
-                    self.num_silos,
-                    s,
-                    t,
-                    potential,
-                    self.config.queue,
-                    cmp,
-                )
-            }
-            None => {
-                let view = BaseView::new(self.graph, self.silos);
-                fed_spsp(
-                    &view,
-                    self.num_silos,
-                    s,
-                    t,
-                    potential,
-                    self.config.queue,
-                    cmp,
-                )
-            }
-        }
-    }
-}
-
-/// The landmark preprocessing a potential may borrow — the only inputs
-/// whose lifetime outlives potential construction (everything else is
-/// read once and copied).
-#[derive(Clone, Copy)]
-pub(crate) struct LandmarkRefs<'p> {
-    pub(crate) partials: Option<&'p LandmarkPartials>,
-    pub(crate) static_table: Option<&'p LandmarkTable>,
-}
-
-/// Builds the per-query potential object for a lower-bound configuration.
-///
-/// `graph`/`silos` are only *read* during construction (the AMPS potential
-/// precomputes owned data); the returned box borrows nothing but the
-/// landmark structures, which is what lets the sequential engine build a
-/// potential before mutably splitting the federation.
-pub(crate) fn make_potential<'p>(
-    lower_bound: LowerBoundKind,
-    num_silos: usize,
-    graph: &Graph,
-    silos: &[SiloWeights],
-    landmarks: LandmarkRefs<'p>,
-    s: VertexId,
-    t: VertexId,
-) -> Box<dyn FedPotential + 'p> {
-    match lower_bound {
-        LowerBoundKind::None => Box::new(ZeroFedPotential::new(num_silos)),
-        LowerBoundKind::Amps => Box::new(FedAmpsPotential::new(graph, silos, s, t)),
-        // `build()` preprocesses landmarks (and the static table) for
-        // every Alt/AltMax configuration, so these expects cannot fire on
-        // an engine-built snapshot.
-        LowerBoundKind::Alt { .. } => Box::new(FedAltPotential::new(
-            landmarks
-                .partials
-                .expect("Alt requires landmark preprocessing"),
-            s,
-            t,
-        )),
-        LowerBoundKind::AltMax { .. } => Box::new(FedAltMaxPotential::new(
-            landmarks
-                .partials
-                .expect("AltMax requires landmark preprocessing"),
-            landmarks.static_table.expect("static table"),
-            s,
-            t,
-        )),
-    }
-}
-
-/// An immutable, `Arc`-shared snapshot of everything queries read: the
-/// engine configuration, topology, per-silo weights, and whatever indexes
-/// the configuration uses. Build one with
-/// [`QueryEngine::snapshot`](crate::engine::QueryEngine::snapshot); it
-/// stays valid (and frozen) however the live federation changes afterwards.
+/// The state one query runs against: the engine configuration, topology,
+/// per-silo weights, and whatever indexes the configuration uses, each an
+/// `Arc` shared with the live federation and engine it came from. Build
+/// one with [`QueryEngine::snapshot`](crate::engine::QueryEngine::snapshot)
+/// — a handful of reference-count bumps. It stays frozen however the live
+/// federation changes afterwards: the writers copy a shared component on
+/// write instead of mutating it.
 #[derive(Clone, Debug)]
 pub struct IndexSnapshot {
-    config: EngineConfig,
-    num_silos: usize,
-    graph: Arc<Graph>,
-    silos: Arc<Vec<SiloWeights>>,
-    fedch: Option<Arc<FedChIndex>>,
-    landmark_partials: Option<Arc<LandmarkPartials>>,
-    static_table: Option<Arc<LandmarkTable>>,
-    epoch: u64,
+    pub(crate) config: EngineConfig,
+    pub(crate) graph: Arc<Graph>,
+    pub(crate) silos: Arc<Vec<SiloWeights>>,
+    pub(crate) fedch: Option<Arc<FedChIndex>>,
+    pub(crate) landmark_partials: Option<Arc<LandmarkPartials>>,
+    pub(crate) static_table: Option<Arc<LandmarkTable>>,
 }
 
 impl IndexSnapshot {
-    /// Captures a frozen copy of `fed`'s queryable state under `engine`'s
-    /// configuration and indexes.
-    pub(crate) fn capture(engine: &crate::engine::QueryEngine, fed: &Federation) -> IndexSnapshot {
-        IndexSnapshot {
-            config: *engine.config(),
-            num_silos: fed.num_silos(),
-            graph: Arc::new(fed.graph().clone()),
-            silos: Arc::new(fed.silos().to_vec()),
-            epoch: engine.fedch().map(|i| i.epoch()).unwrap_or(0),
-            fedch: engine.fedch().cloned().map(Arc::new),
-            landmark_partials: engine.landmark_partials().cloned().map(Arc::new),
-            static_table: engine.static_table().cloned().map(Arc::new),
-        }
-    }
-
     /// The configuration the snapshot was captured under.
     pub fn config(&self) -> &EngineConfig {
         &self.config
@@ -194,12 +80,12 @@ impl IndexSnapshot {
     /// index). Live executors tag every result with the epoch of the
     /// snapshot that answered it.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.fedch.as_ref().map_or(0, |index| index.epoch())
     }
 
     /// Number of silos in the federation the snapshot came from.
     pub fn num_silos(&self) -> usize {
-        self.num_silos
+        self.silos.len()
     }
 
     /// The snapshot's topology.
@@ -207,29 +93,52 @@ impl IndexSnapshot {
         &self.graph
     }
 
-    fn parts(&self) -> QueryParts<'_> {
-        QueryParts {
-            config: self.config,
-            num_silos: self.num_silos,
-            graph: &self.graph,
-            silos: &self.silos,
-            full_graph: &self.graph,
-            fedch: self.fedch.as_deref(),
-        }
-    }
-
-    fn potential(&self, s: VertexId, t: VertexId) -> Box<dyn FedPotential + '_> {
-        make_potential(
-            self.config.lower_bound,
-            self.num_silos,
-            &self.graph,
-            &self.silos,
-            LandmarkRefs {
-                partials: self.landmark_partials.as_deref(),
-                static_table: self.static_table.as_deref(),
-            },
+    /// Runs one SPSP query: builds the configured potential and searches
+    /// the configured view, with every secure comparison going through
+    /// `cmp`. The only query dispatch — the sequential engine, the
+    /// executors and the security replay all call it, which makes "batch
+    /// equals sequential" true by construction.
+    pub(crate) fn run_spsp(
+        &self,
+        s: VertexId,
+        t: VertexId,
+        cmp: &mut dyn JointComparator,
+    ) -> SpspOutcome {
+        let num_silos = self.num_silos();
+        // `QueryEngine::build` preprocesses landmarks (and the static
+        // table) for every Alt/AltMax configuration, so these expects
+        // cannot fire on an engine-built snapshot.
+        let mut potential: Box<dyn FedPotential + '_> = match self.config.lower_bound {
+            LowerBoundKind::None => Box::new(ZeroFedPotential::new(num_silos)),
+            LowerBoundKind::Amps => Box::new(FedAmpsPotential::new(&self.graph, &self.silos, s, t)),
+            LowerBoundKind::Alt { .. } => Box::new(FedAltPotential::new(
+                self.landmark_partials
+                    .as_deref()
+                    .expect("Alt requires landmark preprocessing"),
+                s,
+                t,
+            )),
+            LowerBoundKind::AltMax { .. } => Box::new(FedAltMaxPotential::new(
+                self.landmark_partials
+                    .as_deref()
+                    .expect("AltMax requires landmark preprocessing"),
+                self.static_table.as_deref().expect("static table"),
+                s,
+                t,
+            )),
+        };
+        let view: Box<dyn SearchView + '_> = match self.fedch.as_deref() {
+            Some(index) => Box::new(FedChView::new(index, &self.graph)),
+            None => Box::new(BaseView::new(&self.graph, &self.silos)),
+        };
+        fed_spsp(
+            view.as_ref(),
+            num_silos,
             s,
             t,
+            potential.as_mut(),
+            self.config.queue,
+            cmp,
         )
     }
 }
@@ -347,11 +256,10 @@ pub struct BatchOutcome {
 
 /// A worker pool running many SPSP queries against one [`IndexSnapshot`],
 /// with every secure comparison routed through a shared cross-query
-/// [`BatchScheduler`].
+/// [`BatchScheduler`]: a [`LiveExecutor`] over a [`SnapshotCell`] nobody
+/// publishes to, plus the aggregate [`BatchReport`].
 pub struct BatchExecutor {
-    snapshot: Arc<IndexSnapshot>,
-    scheduler: Arc<BatchScheduler>,
-    workers: usize,
+    live: LiveExecutor,
 }
 
 impl BatchExecutor {
@@ -361,39 +269,24 @@ impl BatchExecutor {
         scheduler: Arc<BatchScheduler>,
         workers: usize,
     ) -> Self {
+        let cell = Arc::new(SnapshotCell::new(snapshot));
         BatchExecutor {
-            snapshot,
-            scheduler,
-            workers: workers.max(1),
+            live: LiveExecutor::new(cell, scheduler, workers),
         }
     }
 
-    /// The shared snapshot queries run against.
-    pub fn snapshot(&self) -> &Arc<IndexSnapshot> {
-        &self.snapshot
-    }
-
-    /// The shared round scheduler.
-    pub fn scheduler(&self) -> &Arc<BatchScheduler> {
-        &self.scheduler
-    }
-
     /// Runs every `(s, t)` query on the worker pool and returns results in
-    /// input order.
-    ///
-    /// Workers claim queries from a shared cursor; each query registers a
-    /// fresh scheduler session for its lifetime (registered sessions are
-    /// what the round barrier waits on, so idle workers never stall
-    /// in-flight queries).
+    /// input order, plus what the batch cost in aggregate.
     pub fn run(&self, queries: &[(VertexId, VertexId)]) -> BatchOutcome {
-        let sac_before = self.scheduler.sac_cumulative_stats().unwrap_or_default();
-        let sched_before = self.scheduler.stats();
+        let LiveExecutor {
+            scheduler, workers, ..
+        } = &self.live;
+        let sac_before = scheduler.sac_cumulative_stats().unwrap_or_default();
+        let sched_before = scheduler.stats();
         let start = Instant::now();
         // `is_active` so the flight recorder sees batch spans even when the
-        // aggregate recorder is off; gauges below gate themselves.
+        // aggregate recorder is off; the pool's gauges gate themselves.
         let obs = fedroad_obs::is_active();
-        fedroad_obs::gauge_set("executor.workers", self.workers as u64);
-        fedroad_obs::gauge_set("executor.queue_depth", queries.len() as u64);
         if obs {
             fedroad_obs::span_begin(
                 "executor.batch",
@@ -402,56 +295,28 @@ impl BatchExecutor {
                         "queries",
                         fedroad_obs::ObsValue::Count(queries.len() as u64),
                     ),
-                    ("workers", fedroad_obs::ObsValue::Count(self.workers as u64)),
+                    ("workers", fedroad_obs::ObsValue::Count(*workers as u64)),
                 ],
             );
         }
 
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<QueryResult>>> = Mutex::new(vec![None; queries.len()]);
-        std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| loop {
-                    // lint: lock-ok(the cursor only hands out indices; results are published through the slots mutex and the scope join)
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(s, t)) = queries.get(i) else {
-                        break;
-                    };
-                    // Worker-utilization gauges: claimed-but-unfinished
-                    // queries count as busy; queue depth is what nobody has
-                    // claimed yet. Pure shapes, never values.
-                    fedroad_obs::gauge_sub("executor.queue_depth", 1);
-                    fedroad_obs::gauge_add("executor.busy_workers", 1);
-                    let result = self.run_one(s, t);
-                    fedroad_obs::gauge_sub("executor.busy_workers", 1);
-                    let mut guard = slots
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    guard[i] = Some(result);
-                });
-            }
-        });
-
-        let results: Vec<QueryResult> = slots
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
+        let results: Vec<QueryResult> = self
+            .live
+            .run(queries)
             .into_iter()
-            // Every slot was filled: the scope joined all workers and the
-            // cursor covers every index exactly once.
-            .map(|slot| slot.expect("worker filled every claimed slot"))
+            .map(|live| live.result)
             .collect();
 
-        let scheduler = self.scheduler.stats().delta_since(&sched_before);
+        let sched = scheduler.stats().delta_since(&sched_before);
         let report = BatchReport {
             queries: queries.len(),
-            workers: self.workers,
+            workers: *workers,
             wall_time_s: start.elapsed().as_secs_f64(),
-            sac: self
-                .scheduler
+            sac: scheduler
                 .sac_cumulative_stats()
                 .unwrap_or_default()
                 .delta_since(&sac_before),
-            scheduler,
+            scheduler: sched,
         };
         if obs {
             fedroad_obs::counter_add("executor.queries", queries.len() as u64);
@@ -460,17 +325,17 @@ impl BatchExecutor {
                     "queries",
                     fedroad_obs::ObsValue::Count(queries.len() as u64),
                 ),
-                ("workers", fedroad_obs::ObsValue::Count(self.workers as u64)),
-                ("rounds", fedroad_obs::ObsValue::Count(scheduler.rounds)),
+                ("workers", fedroad_obs::ObsValue::Count(*workers as u64)),
+                ("rounds", fedroad_obs::ObsValue::Count(sched.rounds)),
                 (
                     "coalesced",
-                    fedroad_obs::ObsValue::Count(scheduler.coalesced_requests),
+                    fedroad_obs::ObsValue::Count(sched.coalesced_requests),
                 ),
             ];
             // When the engine preprocesses on a background dealer pool,
             // attribute refill/stall behavior to the batch. Depths and
             // counters are pure shapes, never share material.
-            if let Some(pool) = self.scheduler.pool_stats() {
+            if let Some(pool) = scheduler.pool_stats() {
                 args.push(("pool_refills", fedroad_obs::ObsValue::Count(pool.refills)));
                 args.push(("pool_stalls", fedroad_obs::ObsValue::Count(pool.stalls)));
             }
@@ -478,16 +343,9 @@ impl BatchExecutor {
         }
         BatchOutcome { results, report }
     }
-
-    /// Runs one query inside a fresh scheduler session.
-    fn run_one(&self, s: VertexId, t: VertexId) -> QueryResult {
-        run_one_on(&self.snapshot, &self.scheduler, s, t)
-    }
 }
 
-/// Runs one query against `snapshot` inside a fresh scheduler session —
-/// shared by the fixed-snapshot [`BatchExecutor`] and the epoch-swapping
-/// [`LiveExecutor`].
+/// Runs one query against `snapshot` inside a fresh scheduler session.
 fn run_one_on(
     snapshot: &IndexSnapshot,
     scheduler: &BatchScheduler,
@@ -497,12 +355,7 @@ fn run_one_on(
     let start = Instant::now();
     let session = scheduler.register();
     let mut cmp = SessionComparator::new(&session, snapshot.config.batch_rounds);
-    let outcome = {
-        let mut potential = snapshot.potential(s, t);
-        snapshot
-            .parts()
-            .run_spsp(s, t, potential.as_mut(), &mut cmp)
-    };
+    let outcome = snapshot.run_spsp(s, t, &mut cmp);
     let stats = QueryStats {
         sac_invocations: cmp.invocations,
         // Per-query round/byte attribution is undefined under
@@ -581,11 +434,11 @@ pub struct LiveQueryResult {
     pub epoch: u64,
 }
 
-/// A worker pool like [`BatchExecutor`], but reading its snapshot from a
-/// [`SnapshotCell`] *per query*: an updater thread can publish new epochs
-/// while a batch is in flight, and each result records which epoch
-/// answered it. Queries already running keep their snapshot `Arc` until
-/// they drain.
+/// The worker pool: N queries, W workers, one scheduler. Reads its
+/// snapshot from a [`SnapshotCell`] *per query*, so an updater thread can
+/// publish new epochs while a batch is in flight, and each result records
+/// which epoch answered it. Queries already running keep their snapshot
+/// `Arc` until they drain.
 pub struct LiveExecutor {
     cell: Arc<SnapshotCell>,
     scheduler: Arc<BatchScheduler>,
@@ -610,7 +463,14 @@ impl LiveExecutor {
     /// Runs every `(s, t)` query on the worker pool, loading the current
     /// snapshot per query, and returns epoch-tagged results in input
     /// order.
+    ///
+    /// Workers claim queries from a shared cursor; each query registers a
+    /// fresh scheduler session for its lifetime (registered sessions are
+    /// what the round barrier waits on, so idle workers never stall
+    /// in-flight queries).
     pub fn run(&self, queries: &[(VertexId, VertexId)]) -> Vec<LiveQueryResult> {
+        fedroad_obs::gauge_set("executor.workers", self.workers as u64);
+        fedroad_obs::gauge_set("executor.queue_depth", queries.len() as u64);
         let next = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<LiveQueryResult>>> = Mutex::new(vec![None; queries.len()]);
         std::thread::scope(|scope| {
@@ -621,15 +481,20 @@ impl LiveExecutor {
                     let Some(&(s, t)) = queries.get(i) else {
                         break;
                     };
+                    // Worker-utilization gauges: claimed-but-unfinished
+                    // queries count as busy; queue depth is what nobody has
+                    // claimed yet. Pure shapes, never values.
+                    fedroad_obs::gauge_sub("executor.queue_depth", 1);
+                    fedroad_obs::gauge_add("executor.busy_workers", 1);
                     // The load-then-run order is the whole protocol: the
                     // epoch recorded here is the snapshot the query runs
                     // on, however many publishes happen meanwhile.
                     let snapshot = self.cell.load();
-                    let result = run_one_on(&snapshot, &self.scheduler, s, t);
                     let tagged = LiveQueryResult {
-                        result,
+                        result: run_one_on(&snapshot, &self.scheduler, s, t),
                         epoch: snapshot.epoch(),
                     };
+                    fedroad_obs::gauge_sub("executor.busy_workers", 1);
                     let mut guard = slots
                         .lock()
                         .unwrap_or_else(|poisoned| poisoned.into_inner());

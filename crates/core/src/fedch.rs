@@ -984,10 +984,9 @@ mod tests {
     ) -> (u64, fedroad_graph::Path) {
         let oracle = JointOracle::new(fed);
         let num = fed.num_silos();
-        let graph = fed.graph().clone();
-        let (_, _, engine) = fed.split_mut();
+        let (graph, _, engine) = fed.split_mut();
         let mut cmp = SacComparator::new(engine);
-        let view = FedChView::new(index, &graph);
+        let view = FedChView::new(index, graph);
         let mut zero = ZeroFedPotential::new(num);
         let out = fed_spsp(&view, num, s, t, &mut zero, QueueKind::TmTree, &mut cmp);
         let path = out.path.expect("connected");
@@ -1083,9 +1082,8 @@ mod tests {
         let total_arcs = index.stats().overlay_arcs;
 
         // Perturb a small set of arcs on silo 1.
-        let graph = fed.graph().clone();
         let mut new_w = fed.silo(1).as_slice().to_vec();
-        let changed: Vec<ArcId> = (0..graph.num_arcs())
+        let changed: Vec<ArcId> = (0..fed.graph().num_arcs())
             .step_by(97)
             .map(|i| ArcId(i as u32))
             .collect();
@@ -1108,7 +1106,7 @@ mod tests {
         );
         assert_eq!(index.epoch(), 1, "an effective batch bumps the epoch once");
         let oracle = JointOracle::new(&fed);
-        let n = graph.num_vertices() as u32;
+        let n = fed.graph().num_vertices() as u32;
         for (s, t) in [(0, n - 1), (11, 60), (95, 4), (50, 51)] {
             let (s, t) = (VertexId(s), VertexId(t));
             let truth = oracle.spsp_scaled(&fed, s, t).unwrap().0;
@@ -1152,7 +1150,7 @@ mod tests {
         for &frac in &fractions {
             let mut fed = make_fed(41, 2);
             let mut index = build_index(&mut fed);
-            let graph = fed.graph().clone();
+            let graph = fed.graph();
             let m = graph.num_arcs();
             let k = ((m as f64) * frac).ceil() as usize;
             let changed: Vec<ArcId> = (0..k).map(|i| ArcId(((i * 37) % m) as u32)).collect();
@@ -1261,10 +1259,13 @@ mod hierarchy_property_tests {
         for (s, t) in [(13usize, 93usize), (0, 99), (42, 57), (7, 88)] {
             let df = dij(s, true);
             let db = dij(t, false);
-            let best = (0..n).map(|v| df[v].saturating_add(db[v])).min().unwrap();
+            let best = (0..n)
+                .map(|v| df[v].saturating_add(db[v]))
+                .min()
+                .expect("non-empty graph");
             let truth = oracle
                 .spsp_scaled(&fed, VertexId(s as u32), VertexId(t as u32))
-                .unwrap()
+                .expect("connected")
                 .0;
             assert_eq!(best, truth, "no exact up-down path {s}->{t}");
         }
@@ -1306,7 +1307,8 @@ mod persistence_tests {
     #[test]
     fn json_roundtrip_preserves_query_behaviour() {
         let (mut fed, index) = make_setup();
-        let restored = FedChIndex::from_json(&index.to_json().unwrap()).unwrap();
+        let restored =
+            FedChIndex::from_json(&index.to_json().expect("serializes")).expect("round-trips");
         // Structures identical.
         assert_eq!(index.epoch(), restored.epoch());
         for v in fed.graph().vertices() {
@@ -1315,13 +1317,12 @@ mod persistence_tests {
         }
         // Queries through the restored index are exact.
         let oracle = JointOracle::new(&fed);
-        let graph = fed.graph().clone();
         let (s, t) = (VertexId(0), VertexId(95));
-        let truth = oracle.spsp_scaled(&fed, s, t).unwrap().0;
+        let truth = oracle.spsp_scaled(&fed, s, t).expect("connected").0;
         let path = {
-            let (_, _, engine) = fed.split_mut();
+            let (graph, _, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);
-            let view = FedChView::new(&restored, &graph);
+            let view = FedChView::new(&restored, graph);
             let mut zero = crate::lb::ZeroFedPotential::new(3);
             crate::spsp::fed_spsp(
                 &view,
@@ -1333,7 +1334,7 @@ mod persistence_tests {
                 &mut cmp,
             )
             .path
-            .unwrap()
+            .expect("connected")
         };
         assert_eq!(oracle.path_cost_scaled(&fed, &path), Some(truth));
     }
@@ -1341,7 +1342,8 @@ mod persistence_tests {
     #[test]
     fn restored_index_supports_updates() {
         let (mut fed, index) = make_setup();
-        let mut restored = FedChIndex::from_json(&index.to_json().unwrap()).unwrap();
+        let mut restored =
+            FedChIndex::from_json(&index.to_json().expect("serializes")).expect("round-trips");
         let changed: Vec<ArcId> = (0..fed.graph().num_arcs())
             .step_by(53)
             .map(|i| ArcId(i as u32))
@@ -1357,13 +1359,12 @@ mod persistence_tests {
             restored.update(graph, silos, &changed, &mut cmp);
         }
         let oracle = JointOracle::new(&fed);
-        let graph = fed.graph().clone();
         let (s, t) = (VertexId(3), VertexId(88));
-        let truth = oracle.spsp_scaled(&fed, s, t).unwrap().0;
+        let truth = oracle.spsp_scaled(&fed, s, t).expect("connected").0;
         let path = {
-            let (_, _, engine) = fed.split_mut();
+            let (graph, _, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);
-            let view = FedChView::new(&restored, &graph);
+            let view = FedChView::new(&restored, graph);
             let mut zero = crate::lb::ZeroFedPotential::new(3);
             crate::spsp::fed_spsp(
                 &view,
@@ -1375,7 +1376,7 @@ mod persistence_tests {
                 &mut cmp,
             )
             .path
-            .unwrap()
+            .expect("connected")
         };
         assert_eq!(oracle.path_cost_scaled(&fed, &path), Some(truth));
     }

@@ -3,6 +3,7 @@
 
 use fedroad_graph::{ArcId, Graph, Weight};
 use fedroad_mpc::{SacBackend, SacEngine, SacStats};
+use std::sync::Arc;
 
 /// One silo's private real-time weight observation, indexed by arc id.
 ///
@@ -64,6 +65,10 @@ impl Default for FederationConfig {
 /// A road-network traffic data federation: `P` silos sharing the topology
 /// `(V, E)` and public static weights `W0`, each holding private weights.
 ///
+/// The graph and the silo weights sit behind `Arc`s so query snapshots
+/// share them instead of copying; weight writers copy on write, and only
+/// when a weight actually changes.
+///
 /// ```
 /// use fedroad_core::{Federation, FederationConfig};
 /// use fedroad_graph::gen::{grid_city, GridCityParams};
@@ -76,8 +81,8 @@ impl Default for FederationConfig {
 /// ```
 #[derive(Debug)]
 pub struct Federation {
-    graph: Graph,
-    silos: Vec<SiloWeights>,
+    pub(crate) graph: Arc<Graph>,
+    pub(crate) silos: Arc<Vec<SiloWeights>>,
     engine: SacEngine,
 }
 
@@ -99,8 +104,8 @@ impl Federation {
         }
         let engine = SacEngine::new(silo_weights.len(), config.backend, config.seed);
         Federation {
-            graph,
-            silos: silo_weights.into_iter().map(SiloWeights::new).collect(),
+            graph: Arc::new(graph),
+            silos: Arc::new(silo_weights.into_iter().map(SiloWeights::new).collect()),
             engine,
         }
     }
@@ -164,7 +169,9 @@ impl Federation {
     /// (see [`crate::fedch`]).
     pub fn update_silo_weights(&mut self, p: usize, weights: Vec<Weight>) {
         assert_eq!(weights.len(), self.graph.num_arcs());
-        self.silos[p] = SiloWeights::new(weights);
+        if self.silos[p].0 != weights {
+            Arc::make_mut(&mut self.silos)[p] = SiloWeights::new(weights);
+        }
     }
 
     /// Applies a stream of per-silo point updates in place — the
@@ -178,9 +185,8 @@ impl Federation {
         for u in updates {
             assert!(u.silo < self.silos.len(), "silo out of range");
             assert!(u.arc.index() < self.graph.num_arcs(), "arc out of range");
-            let slot = &mut self.silos[u.silo].0[u.arc.index()];
-            if *slot != u.weight {
-                *slot = u.weight;
+            if self.silos[u.silo].weight(u.arc) != u.weight {
+                Arc::make_mut(&mut self.silos)[u.silo].0[u.arc.index()] = u.weight;
                 changed.insert(u.arc);
             }
         }

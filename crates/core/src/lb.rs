@@ -455,8 +455,8 @@ mod tests {
         let mut alt = FedAltPotential::new(&tables, s, t);
         let mut alt_max = FedAltMaxPotential::new(&tables, &static_table, s, t);
 
-        let graph = fed.graph().clone();
-        let mut amps = FedAmpsPotential::new(&graph, fed.silos(), s, t);
+        let graph = fed.graph();
+        let mut amps = FedAmpsPotential::new(graph, fed.silos(), s, t);
 
         for v in (0..graph.num_vertices() as u32).step_by(7).map(VertexId) {
             let true_d = joint_distance(&fed, &oracle, v, t);
@@ -496,7 +496,7 @@ mod tests {
         let mut fed = make_fed(7);
         let oracle = JointOracle::new(&fed);
         let tables = build_tables(&mut fed, 4);
-        let graph = fed.graph().clone();
+        let graph = fed.graph();
         let n = graph.num_vertices() as u32;
         let mut plain = PlainComparator::default();
         let (mut err_alt, mut err_amps, mut count) = (0.0f64, 0.0f64, 0u32);
@@ -507,7 +507,7 @@ mod tests {
             }
             let truth = joint_distance(&fed, &oracle, s, t) as f64;
             let mut alt = FedAltPotential::new(&tables, s, t);
-            let mut amps = FedAmpsPotential::new(&graph, fed.silos(), s, t);
+            let mut amps = FedAmpsPotential::new(graph, fed.silos(), s, t);
             err_alt += (truth - alt.joint_estimate(s, &mut plain).max(0) as f64) / truth;
             err_amps += (truth - amps.joint_estimate(s, &mut plain).max(0) as f64) / truth;
             count += 1;

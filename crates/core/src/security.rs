@@ -55,27 +55,12 @@ pub fn verify_spsp_security(
     s: VertexId,
     t: VertexId,
 ) -> SecurityReport {
+    let snapshot = engine.snapshot(fed);
     // 1. Real run with transcript recording.
     fed.engine_mut().enable_transcript();
-    let num_silos = fed.num_silos();
-    let graph = fed.graph().clone();
-    let real_path = {
-        let mut potential = engine.make_potential(fed, s, t);
-        let (g, silos, eng) = fed.split_mut();
-        let mut cmp = SacComparator::new(eng);
-        engine
-            .run_spsp(
-                g,
-                silos,
-                num_silos,
-                s,
-                t,
-                potential.as_mut(),
-                &mut cmp,
-                &graph,
-            )
-            .path
-    };
+    let real_path = snapshot
+        .run_spsp(s, t, &mut SacComparator::new(fed.engine_mut()))
+        .path;
     let transcript = fed
         .engine()
         .transcript()
@@ -85,22 +70,7 @@ pub fn verify_spsp_security(
 
     // 2. Simulation: same control flow driven by recorded bits only.
     let mut replay = ReplayComparator::new(BitReplaySimulator::from_transcript(&transcript));
-    let sim_path = {
-        let mut potential = engine.make_potential(fed, s, t);
-        let (g, silos, _) = fed.split_mut();
-        engine
-            .run_spsp(
-                g,
-                silos,
-                num_silos,
-                s,
-                t,
-                potential.as_mut(),
-                &mut replay,
-                &graph,
-            )
-            .path
-    };
+    let sim_path = snapshot.run_spsp(s, t, &mut replay).path;
 
     // 3. Audits.
     let traffic_audit = audit_engine(fed.engine(), fed.engine().batch_count());

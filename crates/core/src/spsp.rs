@@ -871,10 +871,9 @@ mod tests {
     fn check_query(fed: &mut Federation, s: VertexId, t: VertexId, amps: bool) {
         let oracle = JointOracle::new(fed);
         let truth = oracle.spsp_scaled(fed, s, t).map(|(d, _)| d);
-        let graph = fed.graph().clone();
         let num_silos = fed.num_silos();
         let mut pot: Box<dyn FedPotential> = if amps {
-            Box::new(FedAmpsPotential::new(&graph, fed.silos(), s, t))
+            Box::new(FedAmpsPotential::new(fed.graph(), fed.silos(), s, t))
         } else {
             Box::new(ZeroFedPotential::new(num_silos))
         };
@@ -914,9 +913,8 @@ mod tests {
             check_query(&mut fed, VertexId(s), VertexId(t), true);
         }
         // Pruning: AMPS settles fewer vertices than the zero potential.
-        let graph = fed.graph().clone();
         let (s, t) = (VertexId(0), VertexId(n - 1));
-        let mut amps = FedAmpsPotential::new(&graph, fed.silos(), s, t);
+        let mut amps = FedAmpsPotential::new(fed.graph(), fed.silos(), s, t);
         let settled_amps = {
             let (g, silos, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);

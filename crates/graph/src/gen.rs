@@ -320,7 +320,7 @@ mod tests {
         let g = grid_city(&GridCityParams::small(), 7);
         for &w in g.static_weights() {
             // 200 m at 50 km/h ≈ 144 ds; arterials ≈ 80 ds.
-            assert!(w >= 40 && w <= 400, "weight {w} out of plausible range");
+            assert!((40..=400).contains(&w), "weight {w} out of plausible range");
         }
     }
 

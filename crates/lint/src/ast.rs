@@ -286,7 +286,7 @@ pub enum Expr {
         line: usize,
     },
     /// A `{ … }` block in expression position.
-    BlockExpr {
+    Block {
         /// The block.
         block: Block,
         /// 1-based line.
@@ -343,7 +343,7 @@ impl Expr {
             | Expr::For { line, .. }
             | Expr::Loop { line, .. }
             | Expr::Closure { line, .. }
-            | Expr::BlockExpr { line, .. }
+            | Expr::Block { line, .. }
             | Expr::Tuple { line, .. }
             | Expr::StructLit { line, .. }
             | Expr::Ret { line, .. }
@@ -1024,11 +1024,7 @@ impl<'a> Parser<'a> {
         if self.done() {
             return false;
         }
-        match self.peek(0) {
-            ")" | "]" | "}" | "," | ";" | "{" => false,
-            "=" => false,
-            _ => true,
-        }
+        !matches!(self.peek(0), ")" | "]" | "}" | "," | ";" | "{" | "=")
     }
 
     fn parse_binary(&mut self, allow_struct: bool) -> Expr {
@@ -1240,7 +1236,7 @@ impl<'a> Parser<'a> {
                 let items = self.parse_args("]");
                 Expr::Tuple { items, line }
             }
-            "{" => Expr::BlockExpr {
+            "{" => Expr::Block {
                 block: self.parse_block(),
                 line,
             },
@@ -1250,7 +1246,7 @@ impl<'a> Parser<'a> {
                 if self.at("|") {
                     self.parse_closure(line)
                 } else if self.at("{") {
-                    Expr::BlockExpr {
+                    Expr::Block {
                         block: self.parse_block(),
                         line,
                     }
@@ -1261,7 +1257,7 @@ impl<'a> Parser<'a> {
             "unsafe" => {
                 self.bump();
                 if self.at("{") {
-                    Expr::BlockExpr {
+                    Expr::Block {
                         block: self.parse_block(),
                         line,
                     }
@@ -1383,7 +1379,7 @@ impl<'a> Parser<'a> {
             if self.at("if") {
                 Some(Box::new(self.parse_if()))
             } else {
-                Some(Box::new(Expr::BlockExpr {
+                Some(Box::new(Expr::Block {
                     block: self.parse_block(),
                     line: self.line(),
                 }))

@@ -634,7 +634,7 @@ impl<'a> Eval<'a> {
                 self.restore(snap);
                 None
             }
-            Expr::BlockExpr { block, .. } => self.eval_block(block),
+            Expr::Block { block, .. } => self.eval_block(block),
             Expr::Tuple { items, .. } | Expr::StructLit { fields: items, .. } => {
                 for it in items {
                     self.eval_expr(it);

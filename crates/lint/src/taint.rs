@@ -704,7 +704,7 @@ impl<'a> Eval<'a> {
                 out
             }
             Expr::Closure { params, body, .. } => self.eval_closure(params, body, 0),
-            Expr::BlockExpr { block, .. } => self.eval_block(block),
+            Expr::Block { block, .. } => self.eval_block(block),
             Expr::Tuple { items, .. } | Expr::StructLit { fields: items, .. } => {
                 items.iter().fold(0, |a, e| a | self.eval_expr(e))
             }

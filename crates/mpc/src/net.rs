@@ -245,8 +245,8 @@ mod tests {
         let mut mesh = Mesh::new(3);
         let words = vec![vec![10u64], vec![20], vec![30]];
         let recv = mesh.broadcast_words(MsgKind::MaskedOpen, &words);
-        for p in 0..3 {
-            assert_eq!(recv[p], words);
+        for got in &recv {
+            assert_eq!(got, &words);
         }
         let s = mesh.stats();
         assert_eq!(s.rounds, 1);

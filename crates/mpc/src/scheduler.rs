@@ -536,7 +536,10 @@ mod tests {
         let sched = BatchScheduler::lockstep(SacEngine::new(3, SacBackend::Real, 7));
         let session = sched.register();
         let pairs = random_pairs(3, 5, 11);
-        assert_eq!(session.compare_many(&pairs).unwrap(), plain_bits(&pairs));
+        assert_eq!(
+            session.compare_many(&pairs).expect("in-range comparison"),
+            plain_bits(&pairs)
+        );
         let stats = sched.stats();
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.coalesced_requests, 1);
@@ -554,7 +557,10 @@ mod tests {
                 let sched = &sched;
                 scope.spawn(move || {
                     let session = sched.register();
-                    assert_eq!(session.compare_many(pairs).unwrap(), plain_bits(pairs));
+                    assert_eq!(
+                        session.compare_many(pairs).expect("in-range comparison"),
+                        plain_bits(pairs)
+                    );
                 });
             }
         });
@@ -584,8 +590,8 @@ mod tests {
         let p2 = random_pairs(2, 4, 2);
         let t1 = s1.submit(&p1);
         let t2 = s2.submit(&p2);
-        assert_eq!(s1.wait(t1).unwrap(), plain_bits(&p1));
-        assert_eq!(s2.wait(t2).unwrap(), plain_bits(&p2));
+        assert_eq!(s1.wait(t1).expect("in-range comparison"), plain_bits(&p1));
+        assert_eq!(s2.wait(t2).expect("in-range comparison"), plain_bits(&p2));
         let stats = sched.stats();
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.max_requests_per_round, 2);
@@ -597,7 +603,10 @@ mod tests {
         let sched = BatchScheduler::threaded(3, 23);
         let session = sched.register();
         let pairs = random_pairs(3, 7, 29);
-        assert_eq!(session.compare_many(&pairs).unwrap(), plain_bits(&pairs));
+        assert_eq!(
+            session.compare_many(&pairs).expect("in-range comparison"),
+            plain_bits(&pairs)
+        );
         assert!(sched.sac_cumulative_stats().is_none());
         assert_eq!(sched.stats().rounds, 1);
         assert!(sched.pool_stats().is_none());
@@ -614,7 +623,10 @@ mod tests {
         ));
         let session = sched.register();
         let pairs = random_pairs(3, 9, 43);
-        assert_eq!(session.compare_many(&pairs).unwrap(), plain_bits(&pairs));
+        assert_eq!(
+            session.compare_many(&pairs).expect("in-range comparison"),
+            plain_bits(&pairs)
+        );
         let ps = sched.pool_stats().expect("pooled lockstep engine");
         assert!(ps.refills >= 1);
         let sac = sched.sac_cumulative_stats().expect("lockstep backend");
@@ -641,7 +653,10 @@ mod tests {
         // its *next* submission keeps the barrier sound; here it simply
         // drops, and s2's round proceeds.
         drop(s1);
-        assert_eq!(s2.wait(t_good).unwrap(), plain_bits(&good));
+        assert_eq!(
+            s2.wait(t_good).expect("in-range comparison"),
+            plain_bits(&good)
+        );
         let stats = sched.stats();
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.coalesced_requests, 1);
@@ -663,7 +678,10 @@ mod tests {
     fn empty_submit_resolves_without_a_round() {
         let sched = BatchScheduler::lockstep(SacEngine::new(3, SacBackend::Real, 43));
         let session = sched.register();
-        assert_eq!(session.compare_many(&[]).unwrap(), Vec::<bool>::new());
+        assert_eq!(
+            session.compare_many(&[]).expect("in-range comparison"),
+            Vec::<bool>::new()
+        );
         let stats = sched.stats();
         assert_eq!(stats.rounds, 0);
         assert_eq!(stats.coalesced_requests, 0);
@@ -686,7 +704,10 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(50));
             drop(idle);
             let bits = handle.join().expect("waiter thread");
-            assert_eq!(bits.unwrap(), plain_bits(&waiter_pairs));
+            assert_eq!(
+                bits.expect("in-range comparison"),
+                plain_bits(&waiter_pairs)
+            );
         });
     }
 
@@ -701,9 +722,9 @@ mod tests {
         let t1a = s1.submit(&p1a);
         let t1b = s1.submit(&p1b);
         let t2 = s2.submit(&p2);
-        assert_eq!(s2.wait(t2).unwrap(), plain_bits(&p2));
-        assert_eq!(s1.wait(t1b).unwrap(), plain_bits(&p1b));
-        assert_eq!(s1.wait(t1a).unwrap(), plain_bits(&p1a));
+        assert_eq!(s2.wait(t2).expect("in-range comparison"), plain_bits(&p2));
+        assert_eq!(s1.wait(t1b).expect("in-range comparison"), plain_bits(&p1b));
+        assert_eq!(s1.wait(t1a).expect("in-range comparison"), plain_bits(&p1a));
         // All three requests were pending when the barrier completed, so
         // one round carried them all.
         let stats = sched.stats();
@@ -718,7 +739,7 @@ mod tests {
         // the guard (the only way std marks a mutex poisoned).
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
-                let _guard = sched.state.lock().unwrap();
+                let _guard = sched.state.lock().expect("scheduler state lock");
                 panic!("poison the scheduler state");
             });
             assert!(handle.join().is_err(), "the poisoner must panic");
@@ -743,7 +764,7 @@ mod tests {
             let (bits, pairs) = rx
                 .recv_timeout(std::time::Duration::from_secs(60))
                 .expect("deadlock watchdog: poisoned-state round never completed");
-            assert_eq!(bits.unwrap(), plain_bits(&pairs));
+            assert_eq!(bits.expect("in-range comparison"), plain_bits(&pairs));
         });
         assert_eq!(sched.stats().rounds, 1);
     }

@@ -148,7 +148,8 @@ proptest! {
 
         // Materialize each session's requests with seeded random costs.
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let sessions: Vec<Vec<Vec<(Vec<u64>, Vec<u64>)>>> = request_sizes
+        type Duels = Vec<(Vec<u64>, Vec<u64>)>;
+        let sessions: Vec<Vec<Duels>> = request_sizes
             .iter()
             .map(|sizes| {
                 sizes

@@ -103,15 +103,14 @@ fn main() {
 
     let oracle = JointOracle::new(&fed);
     let n = fed.graph().num_vertices() as u32;
-    let graph = fed.graph().clone();
     for (s, t) in [(0u32, n - 1), (17, n / 2)] {
         let (s, t) = (VertexId(s), VertexId(t));
         let truth = oracle.spsp_scaled(&fed, s, t).unwrap().0;
         let outcome = {
             let num_silos = fed.num_silos();
-            let (_, _, engine) = fed.split_mut();
+            let (graph, _, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);
-            let view = FedChView::new(&restored, &graph);
+            let view = FedChView::new(&restored, graph);
             let mut zero = ZeroFedPotential::new(num_silos);
             fed_spsp(
                 &view,

@@ -3,12 +3,14 @@
 //! production lifecycle of §IV "Federated Index Updating".
 
 use fedroad::{
-    gen_silo_weights, grid_city, CongestionLevel, Federation, FederationConfig, GridCityParams,
-    JointOracle, Method, QueryEngine, SacBackend, VertexId,
+    gen_silo_weights, grid_city, BatchExecutor, BatchScheduler, CongestionLevel, Federation,
+    FederationConfig, GridCityParams, IndexSnapshot, JointOracle, Method, QueryEngine, QueryResult,
+    SacBackend, SacEngine, VertexId, WeightChange,
 };
 use fedroad_graph::ArcId;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
+use std::sync::Arc;
 
 #[test]
 fn repeated_updates_stay_exact_over_many_rounds() {
@@ -290,4 +292,96 @@ fn stale_index_demonstrably_misroutes() {
         mismatches > 0,
         "a stale index should misroute under reshaped congestion"
     );
+}
+
+#[test]
+fn snapshots_stay_frozen_across_copy_on_write_updates() {
+    // Snapshots share the graph, the silo weights and the index with the
+    // live federation by `Arc`; the writers copy on write. A snapshot taken
+    // before an update must keep answering exactly as it did, while the
+    // live engine and fresh snapshots see the update.
+    let g = grid_city(&GridCityParams::with_target_vertices(160), 71);
+    let w = gen_silo_weights(&g, CongestionLevel::Moderate, 3, 71);
+    let mut fed = Federation::new(
+        g,
+        w,
+        FederationConfig {
+            backend: SacBackend::Modeled,
+            seed: 71,
+        },
+    );
+    let mut engine = QueryEngine::build(&mut fed, Method::FedRoad.config());
+    let n = fed.graph().num_vertices() as u32;
+    let pairs: Vec<(VertexId, VertexId)> = [(0, n - 1), (7, n / 2), (n / 3, 5), (n - 9, 12)]
+        .into_iter()
+        .map(|(s, t)| (VertexId(s), VertexId(t)))
+        .collect();
+    let run = |snapshot: &Arc<IndexSnapshot>| -> Vec<QueryResult> {
+        let scheduler = Arc::new(BatchScheduler::lockstep(SacEngine::new(
+            3,
+            SacBackend::Modeled,
+            71,
+        )));
+        BatchExecutor::new(Arc::clone(snapshot), scheduler, 2)
+            .run(&pairs)
+            .results
+    };
+
+    let old = Arc::new(engine.snapshot(&fed));
+    let old_oracle = JointOracle::new(&fed);
+    let old_epoch = old.epoch();
+    let before = run(&old);
+
+    // Triple every 7th arc on every silo.
+    let changes: Vec<WeightChange> = (0..fed.graph().num_arcs())
+        .step_by(7)
+        .flat_map(|i| (0..3).map(move |silo| (ArcId(i as u32), silo)))
+        .map(|(arc, silo)| WeightChange {
+            arc,
+            silo,
+            weight: fed.silo(silo).weight(arc) * 3,
+        })
+        .collect();
+    let changed = fed.apply_weight_updates(&changes);
+    assert!(!changed.is_empty());
+    engine.update_index(&mut fed, &changed).expect("has index");
+    let new_epoch = engine.fedch().expect("has index").epoch();
+    assert!(new_epoch > old_epoch, "the update must bump the epoch");
+    assert_eq!(old.epoch(), old_epoch, "the old snapshot keeps its epoch");
+
+    // The old snapshot answers bit-identically, exact under the old weights.
+    let after = run(&old);
+    for ((b, a), &(s, t)) in before.iter().zip(&after).zip(&pairs) {
+        assert_eq!(
+            b.path, a.path,
+            "old snapshot changed its answer on {s}->{t}"
+        );
+        assert_eq!(b.stats.sac_invocations, a.stats.sac_invocations);
+        let truth = old_oracle.spsp_scaled(&fed, s, t).unwrap().0;
+        let path = a.path.as_ref().expect("connected");
+        assert_eq!(old_oracle.path_cost_scaled(&fed, path), Some(truth));
+    }
+
+    // The live engine and a fresh snapshot are exact under the new weights.
+    let new_oracle = JointOracle::new(&fed);
+    let fresh = Arc::new(engine.snapshot(&fed));
+    assert_eq!(fresh.epoch(), new_epoch);
+    let fresh_results = run(&fresh);
+    let mut moved = 0;
+    for (r, &(s, t)) in fresh_results.iter().zip(&pairs) {
+        let truth = new_oracle.spsp_scaled(&fed, s, t).unwrap().0;
+        let live = engine.spsp(&mut fed, s, t).path.expect("connected");
+        assert_eq!(new_oracle.path_cost_scaled(&fed, &live), Some(truth));
+        let path = r.path.as_ref().expect("connected");
+        assert_eq!(new_oracle.path_cost_scaled(&fed, path), Some(truth));
+        if old_oracle.spsp_scaled(&fed, s, t).unwrap().0 != truth {
+            moved += 1;
+        }
+    }
+    assert!(moved > 0, "the update must change some joint distance");
+
+    // An empty change list is absorbed without touching the index.
+    assert!(fed.apply_weight_updates(&[]).is_empty());
+    engine.update_index(&mut fed, &[]).expect("has index");
+    assert_eq!(engine.fedch().expect("has index").epoch(), new_epoch);
 }
