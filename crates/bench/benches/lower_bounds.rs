@@ -60,9 +60,14 @@ fn bench_lower_bounds(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("fed_amps_setup_per_query", |b| {
-        // AMPS front-loads all estimation work into per-silo sweeps.
-        b.iter(|| black_box(FedAmpsPotential::new(&city, fed.silos(), s, t)))
+    group.bench_function("fed_amps_new_and_first_estimate", |b| {
+        // What a query pays before its first estimate: `new` runs nothing,
+        // so the first lookup starts every silo's sweep from `t`.
+        let mut plain = PlainComparator::default();
+        b.iter(|| {
+            let mut pot = FedAmpsPotential::new(&city, fed.silos(), s, t);
+            black_box(pot.toward_target(s, &mut plain))
+        })
     });
 
     group.bench_function("fed_amps_estimate", |b| {

@@ -14,13 +14,14 @@
 //! * **Fed-AMPS** — each silo's *local* shortest-path distance; the mean of
 //!   partial shortest-path costs lower-bounds the joint cost (Equation 3).
 //!   Pure local computation, and the most accurate of the three
-//!   (reproduced in Figure 11).
+//!   (reproduced in Figure 11). Each silo's sweep settles only as far as
+//!   the search asks.
 
 use crate::federation::SiloWeights;
 use crate::partials::{JointComparator, PartialKey};
 use crate::sssp::fed_sssp;
 use crate::view::SearchView;
-use fedroad_graph::algo::sssp_until;
+use fedroad_graph::algo::ResumableDijkstra;
 use fedroad_graph::landmarks::LandmarkTable;
 use fedroad_graph::{Direction, Graph, VertexId, INFINITY};
 use fedroad_queue::QueueKind;
@@ -328,62 +329,68 @@ impl FedPotential for FedAltMaxPotential<'_> {
     }
 }
 
-/// Fed-AMPS: each silo's exact local distance, computed by two silo-local
-/// Dijkstra sweeps at query start (the paper's "pay more local
-/// computation"; we hoist the per-estimation local searches into one
-/// forward and one backward sweep per silo with identical estimates).
-pub struct FedAmpsPotential {
-    /// `dist_to_t[p][v]` = silo `p`'s local distance `v → t`.
-    dist_to_t: Vec<Vec<u64>>,
-    /// `dist_from_s[p][v]` = silo `p`'s local distance `s → v`.
-    dist_from_s: Vec<Vec<u64>>,
+/// Fed-AMPS: each silo's exact local distance, from one silo-local
+/// Dijkstra sweep per silo and direction (the paper's "pay more local
+/// computation"). A sweep starts at the first estimate asked in its
+/// direction and settles only as far as the farthest vertex asked, so a
+/// search that reads only `toward_target` never sweeps from `s`. Every
+/// estimate equals the one a full sweep gives.
+pub struct FedAmpsPotential<'a> {
+    graph: &'a Graph,
+    silos: &'a [SiloWeights],
+    s: VertexId,
+    t: VertexId,
+    /// Silo `p`'s backward sweep from `t` (empty until first asked).
+    to_t: Vec<ResumableDijkstra<'a>>,
+    /// Silo `p`'s forward sweep from `s` (empty until first asked).
+    from_s: Vec<ResumableDijkstra<'a>>,
 }
 
-impl FedAmpsPotential {
-    /// Runs the per-silo local sweeps for the query `(s, t)`.
-    pub fn new(graph: &Graph, silos: &[SiloWeights], s: VertexId, t: VertexId) -> Self {
-        let dist_to_t = silos
-            .iter()
-            .map(|w| sssp_until(graph, w.as_slice(), t, Direction::Backward, |_, _| false).dist)
-            .collect();
-        let dist_from_s = silos
-            .iter()
-            .map(|w| sssp_until(graph, w.as_slice(), s, Direction::Forward, |_, _| false).dist)
-            .collect();
+impl<'a> FedAmpsPotential<'a> {
+    /// A potential for the query `(s, t)`; runs no sweep yet.
+    pub fn new(graph: &'a Graph, silos: &'a [SiloWeights], s: VertexId, t: VertexId) -> Self {
         FedAmpsPotential {
-            dist_to_t,
-            dist_from_s,
+            graph,
+            silos,
+            s,
+            t,
+            to_t: Vec::new(),
+            from_s: Vec::new(),
         }
+    }
+
+    /// Each silo's local distance between `v` and the query endpoint the
+    /// `direction` sweeps from, with unreachable vertices bounded by 0.
+    /// Starts that direction's sweeps on first use.
+    fn local_bounds(&mut self, direction: Direction, v: VertexId) -> PartialKey {
+        let (sweeps, root) = match direction {
+            Direction::Backward => (&mut self.to_t, self.t),
+            Direction::Forward => (&mut self.from_s, self.s),
+        };
+        if sweeps.is_empty() {
+            *sweeps = self
+                .silos
+                .iter()
+                .map(|w| ResumableDijkstra::new(self.graph, w.as_slice(), root, direction))
+                .collect();
+        }
+        sweeps
+            .iter_mut()
+            .map(|sweep| match sweep.dist(v) {
+                INFINITY => 0,
+                d => d as i64,
+            })
+            .collect()
     }
 }
 
-impl FedPotential for FedAmpsPotential {
+impl FedPotential for FedAmpsPotential<'_> {
     fn toward_target(&mut self, v: VertexId, _cmp: &mut dyn JointComparator) -> PartialKey {
-        self.dist_to_t
-            .iter()
-            .map(|d| {
-                let x = d[v.index()];
-                if x >= INFINITY {
-                    0
-                } else {
-                    x as i64
-                }
-            })
-            .collect()
+        self.local_bounds(Direction::Backward, v)
     }
 
     fn from_source(&mut self, v: VertexId, _cmp: &mut dyn JointComparator) -> PartialKey {
-        self.dist_from_s
-            .iter()
-            .map(|d| {
-                let x = d[v.index()];
-                if x >= INFINITY {
-                    0
-                } else {
-                    x as i64
-                }
-            })
-            .collect()
+        self.local_bounds(Direction::Forward, v)
     }
 
     fn joint_nonnegative(&self) -> bool {
@@ -398,6 +405,7 @@ mod tests {
     use crate::oracle::JointOracle;
     use crate::partials::{PlainComparator, SacComparator};
     use crate::view::BaseView;
+    use fedroad_graph::algo::sssp_until;
     use fedroad_graph::gen::{grid_city, GridCityParams};
     use fedroad_graph::landmarks::select_landmarks;
     use fedroad_graph::traffic::{gen_silo_weights, CongestionLevel};
@@ -518,6 +526,49 @@ mod tests {
             "AMPS ({err_amps:.4}) should beat ALT ({err_alt:.4})"
         );
         assert!(err_amps < 0.02, "AMPS error {err_amps:.4} should be < 2 %");
+    }
+
+    #[test]
+    fn lazy_amps_estimates_equal_full_sweep_tables() {
+        let fed = make_fed(13);
+        let graph = fed.graph();
+        let n = graph.num_vertices() as u32;
+        let (s, t) = (VertexId(4), VertexId(n - 9));
+        let full_sweeps = |root, direction| -> Vec<Vec<u64>> {
+            fed.silos()
+                .iter()
+                .map(|w| sssp_until(graph, w.as_slice(), root, direction, |_, _| false).dist)
+                .collect()
+        };
+        let (to_t, from_s) = (
+            full_sweeps(t, Direction::Backward),
+            full_sweeps(s, Direction::Forward),
+        );
+        let bounds = |dists: &[Vec<u64>], v: VertexId| -> PartialKey {
+            dists
+                .iter()
+                .map(|d| match d[v.index()] {
+                    INFINITY => 0,
+                    x => x as i64,
+                })
+                .collect()
+        };
+        let mut plain = PlainComparator::default();
+        let mut amps = FedAmpsPotential::new(graph, fed.silos(), s, t);
+        // Walk inward from both ends, alternating directions, so each
+        // lookup lands sometimes ahead of and sometimes behind its sweep's
+        // frontier.
+        for i in 0..n {
+            let (a, b) = (VertexId(i), VertexId(n - 1 - i));
+            for (v, toward) in [(a, true), (b, false), (a, false), (b, true)] {
+                let (got, want) = if toward {
+                    (amps.toward_target(v, &mut plain), bounds(&to_t, v))
+                } else {
+                    (amps.from_source(v, &mut plain), bounds(&from_s, v))
+                };
+                assert_eq!(got, want, "{v} toward_target={toward}");
+            }
+        }
     }
 
     #[test]

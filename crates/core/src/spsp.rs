@@ -872,24 +872,27 @@ mod tests {
         let oracle = JointOracle::new(fed);
         let truth = oracle.spsp_scaled(fed, s, t).map(|(d, _)| d);
         let num_silos = fed.num_silos();
-        let mut pot: Box<dyn FedPotential> = if amps {
-            Box::new(FedAmpsPotential::new(fed.graph(), fed.silos(), s, t))
-        } else {
-            Box::new(ZeroFedPotential::new(num_silos))
+        let path = {
+            let (g, silos, engine) = fed.split_mut();
+            let mut pot: Box<dyn FedPotential> = if amps {
+                Box::new(FedAmpsPotential::new(g, silos, s, t))
+            } else {
+                Box::new(ZeroFedPotential::new(num_silos))
+            };
+            let mut cmp = SacComparator::new(engine);
+            let view = BaseView::new(g, silos);
+            fed_spsp(
+                &view,
+                num_silos,
+                s,
+                t,
+                pot.as_mut(),
+                QueueKind::TmTree,
+                &mut cmp,
+            )
+            .path
+            .expect("connected graph")
         };
-        let (g, silos, engine) = fed.split_mut();
-        let mut cmp = SacComparator::new(engine);
-        let view = BaseView::new(g, silos);
-        let out = fed_spsp(
-            &view,
-            num_silos,
-            s,
-            t,
-            pot.as_mut(),
-            QueueKind::TmTree,
-            &mut cmp,
-        );
-        let path = out.path.expect("connected graph");
         let cost = oracle.path_cost_scaled(fed, &path).expect("valid path");
         assert_eq!(Some(cost), truth, "suboptimal path {s}->{t} (amps={amps})");
         assert_eq!(path.source(), s);
@@ -914,9 +917,9 @@ mod tests {
         }
         // Pruning: AMPS settles fewer vertices than the zero potential.
         let (s, t) = (VertexId(0), VertexId(n - 1));
-        let mut amps = FedAmpsPotential::new(fed.graph(), fed.silos(), s, t);
         let settled_amps = {
             let (g, silos, engine) = fed.split_mut();
+            let mut amps = FedAmpsPotential::new(g, silos, s, t);
             let mut cmp = SacComparator::new(engine);
             fed_spsp(
                 &BaseView::new(g, silos),

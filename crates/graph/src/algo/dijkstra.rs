@@ -95,6 +95,75 @@ pub fn sssp_until(
     }
 }
 
+/// A distance-only Dijkstra sweep that settles vertices on demand.
+///
+/// Each [`dist`](Self::dist) lookup resumes the sweep just until the asked
+/// vertex settles, so a caller that reads only vertices near the source
+/// never pays for the rest of the graph. Every lookup returns what a full
+/// [`sssp_until`] run from the same source would hold in `dist`.
+pub struct ResumableDijkstra<'g> {
+    g: &'g Graph,
+    weights: &'g [Weight],
+    direction: Direction,
+    dist: Vec<Weight>,
+    settled: Vec<bool>,
+    heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
+}
+
+impl<'g> ResumableDijkstra<'g> {
+    /// A sweep from `source` in `direction` with nothing settled yet.
+    pub fn new(
+        g: &'g Graph,
+        weights: &'g [Weight],
+        source: VertexId,
+        direction: Direction,
+    ) -> Self {
+        debug_assert_eq!(weights.len(), g.num_arcs(), "weights indexed by arc id");
+        let n = g.num_vertices();
+        let mut dist = vec![INFINITY; n];
+        dist[source.index()] = 0;
+        ResumableDijkstra {
+            g,
+            weights,
+            direction,
+            dist,
+            settled: vec![false; n],
+            heap: BinaryHeap::from(vec![Reverse((0, source))]),
+        }
+    }
+
+    /// Shortest distance between the source and `v` in the sweep's
+    /// direction, or [`INFINITY`](crate::INFINITY) if `v` is unreachable.
+    pub fn dist(&mut self, v: VertexId) -> Weight {
+        let g = self.g;
+        while !self.settled[v.index()] {
+            // An empty heap means every reachable vertex has settled, so
+            // an unsettled `v` still holds INFINITY.
+            let Some(Reverse((d, u))) = self.heap.pop() else {
+                break;
+            };
+            if self.settled[u.index()] {
+                continue; // stale heap entry (lazy deletion)
+            }
+            self.settled[u.index()] = true;
+            match self.direction {
+                Direction::Forward => g.out_arcs(u).for_each(|arc| self.relax(d, arc)),
+                Direction::Backward => g.in_arcs(u).for_each(|arc| self.relax(d, arc)),
+            }
+        }
+        self.dist[v.index()]
+    }
+
+    #[inline]
+    fn relax(&mut self, d: Weight, arc: crate::graph::Arc) {
+        let nd = d + self.weights[arc.id.index()];
+        if nd < self.dist[arc.head.index()] {
+            self.dist[arc.head.index()] = nd;
+            self.heap.push(Reverse((nd, arc.head)));
+        }
+    }
+}
+
 /// Point-to-point shortest path; returns the distance and the path, or
 /// `None` if `target` is unreachable from `source`.
 pub fn spsp(
@@ -132,8 +201,13 @@ pub fn k_nearest(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{grid_city, GridCityParams};
     use crate::graph::GraphBuilder;
     use crate::ids::Coord;
+    use crate::traffic::{gen_silo_weights, CongestionLevel};
+    use rand::seq::SliceRandom;
+    use rand::SeedableRng;
+    use rand_chacha::ChaCha12Rng;
 
     /// The paper's Figure 3 joint road network Ḡ (8 vertices, 11 edges).
     pub(crate) fn figure3_joint() -> Graph {
@@ -235,5 +309,63 @@ mod tests {
         let g = b.build();
         let knn = k_nearest(&g, g.static_weights(), a, 10);
         assert_eq!(knn.len(), 2);
+    }
+
+    /// Checks a fresh resumable sweep from every source, in both
+    /// directions, against a full `sssp_until` run: every vertex is looked
+    /// up in shuffled order, asked twice in a row, and asked again once the
+    /// sweep has gone further.
+    fn assert_sweeps_match_full_runs(g: &Graph, weights: &[Weight], seed: u64) {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        for direction in [Direction::Forward, Direction::Backward] {
+            for source in g.vertices() {
+                let full = sssp_until(g, weights, source, direction, |_, _| false).dist;
+                let mut sweep = ResumableDijkstra::new(g, weights, source, direction);
+                let mut order: Vec<VertexId> = g.vertices().collect();
+                order.shuffle(&mut rng);
+                for &v in order.iter().chain(&order) {
+                    let want = full[v.index()];
+                    assert_eq!(sweep.dist(v), want, "{direction:?} {source}->{v}");
+                    assert_eq!(sweep.dist(v), want, "repeat {direction:?} {source}->{v}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn resumable_sweep_matches_full_runs_in_any_lookup_order() {
+        let g = grid_city(&GridCityParams::small(), 4);
+        let weights = gen_silo_weights(&g, CongestionLevel::Heavy, 1, 4).remove(0);
+        assert_sweeps_match_full_runs(&g, &weights, 4);
+    }
+
+    #[test]
+    fn resumable_sweep_reports_unreachable_vertices_as_infinite() {
+        // Two two-way pairs joined by one one-way arc, plus an isolated
+        // vertex: no vertex reaches all others.
+        let mut b = GraphBuilder::new();
+        let v: Vec<VertexId> = (0..5)
+            .map(|i| {
+                b.add_vertex(Coord {
+                    x: i as f64,
+                    y: 0.0,
+                })
+            })
+            .collect();
+        b.add_bidirectional(v[0], v[1], 2);
+        b.add_bidirectional(v[2], v[3], 1);
+        b.add_arc(v[1], v[2], 5);
+        let g = b.build();
+
+        let mut fwd = ResumableDijkstra::new(&g, g.static_weights(), v[2], Direction::Forward);
+        assert_eq!(fwd.dist(v[0]), INFINITY);
+        assert_eq!(fwd.dist(v[3]), 1);
+        assert_eq!(fwd.dist(v[4]), INFINITY);
+        let mut bwd = ResumableDijkstra::new(&g, g.static_weights(), v[2], Direction::Backward);
+        assert_eq!(bwd.dist(v[0]), 7);
+        assert_eq!(bwd.dist(v[3]), 1);
+        assert_eq!(bwd.dist(v[4]), INFINITY);
+
+        assert_sweeps_match_full_runs(&g, g.static_weights(), 5);
     }
 }

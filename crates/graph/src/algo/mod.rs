@@ -12,4 +12,4 @@ mod dijkstra;
 
 pub use astar::{astar, astar_counting, Potential, ZeroPotential};
 pub use bidirectional::bidirectional_spsp;
-pub use dijkstra::{k_nearest, spsp, sssp, sssp_until, SsspResult};
+pub use dijkstra::{k_nearest, spsp, sssp, sssp_until, ResumableDijkstra, SsspResult};

@@ -43,6 +43,11 @@ cargo run -q -p fedroad-lint -- --differential
 echo "==> cargo test -q"
 cargo test -q
 
+# perfbench/ is its own workspace (outside default-members), so the test
+# step above neither builds nor tests it.
+echo "==> perfbench tests"
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 if [ "$FAST" = 1 ]; then
   echo "==> --fast: comparison-kernel microbench smoke (quick)"
   cargo run -q --release -p fedroad-bench --bin compare_bench -- --quick >/dev/null
