@@ -20,17 +20,16 @@
 //! schema tag and re-validated on save, like
 //! [`throughput`](crate::throughput).
 
-use crate::report::{heading, table};
+use crate::report::{heading, save_checked, table, RESULTS_DIR};
 use crate::BENCH_SEED;
 use fedroad_core::jsonio::{JsonError, Value};
-use fedroad_mpc::compare::{less_than_zero_many, less_than_zero_many_scalar};
+use fedroad_mpc::compare::{less_than_zero_many, less_than_zero_many_scalar, CompareScratch};
 use fedroad_mpc::dealer::Dealer;
 use fedroad_mpc::pool::{PoolConfig, PooledDealer};
-use fedroad_mpc::Mesh;
+use fedroad_mpc::{Mesh, ShareBlock};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Schema identifier of the comparison-kernel report. Bump the version
@@ -119,14 +118,21 @@ fn measure_one_batch(quick: bool, batch: usize) -> CompareRow {
     let scalar_s = start.elapsed().as_secs_f64();
 
     // Vectorized arm, inline dealer (same seed ⇒ same preprocessing
-    // stream ⇒ bit-identical opens and stats).
+    // stream ⇒ bit-identical opens and stats). Its inputs are flat blocks,
+    // packed outside the timed region, and it works in one reused scratch
+    // as an engine does.
+    let blocks: Vec<ShareBlock> = inputs
+        .iter()
+        .map(|d_list| ShareBlock::from_words(PARTIES, d_list))
+        .collect();
+    let mut scratch = CompareScratch::default();
     let mut mesh_v = Mesh::new(PARTIES);
     let mut dealer_v = Dealer::new(PARTIES, seed);
     let mut bits_v = Vec::with_capacity(reps);
     let start = Instant::now();
-    for d_list in &inputs {
+    for d in &blocks {
         bits_v.push(
-            less_than_zero_many(&mut mesh_v, &mut dealer_v, d_list, None)
+            less_than_zero_many(&mut mesh_v, &mut dealer_v, d, None, &mut scratch)
                 .expect("well-formed bench inputs"),
         );
     }
@@ -136,14 +142,14 @@ fn measure_one_batch(quick: bool, batch: usize) -> CompareRow {
     // warm-up execution lets the pool reach steady state first.
     let mut mesh_p = Mesh::new(PARTIES);
     let mut pool = PooledDealer::new(PARTIES, seed, PoolConfig::default());
-    less_than_zero_many(&mut mesh_p, &mut pool, &inputs[0], None)
+    less_than_zero_many(&mut mesh_p, &mut pool, &blocks[0], None, &mut scratch)
         .expect("well-formed bench inputs");
     let mut mesh_p = Mesh::new(PARTIES);
     let mut bits_p = Vec::with_capacity(reps);
     let start = Instant::now();
-    for d_list in &inputs {
+    for d in &blocks {
         bits_p.push(
-            less_than_zero_many(&mut mesh_p, &mut pool, d_list, None)
+            less_than_zero_many(&mut mesh_p, &mut pool, d, None, &mut scratch)
                 .expect("well-formed bench inputs"),
         );
     }
@@ -259,19 +265,15 @@ impl CompareReport {
         self.to_value().to_json()
     }
 
-    /// Writes the report to `results/BENCH_compare.json`, re-parsing and
-    /// schema-checking the written bytes before reporting success.
+    /// Writes the report to `results/BENCH_compare.json` (what the binaries do).
     pub fn save(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join("BENCH_compare.json");
-        let text = self.to_json();
-        fs::write(&path, &text)?;
-        let doc = Value::parse(&text)
-            .map_err(|e| std::io::Error::other(format!("written report does not re-parse: {e}")))?;
-        validate(&doc)
-            .map_err(|e| std::io::Error::other(format!("written report fails its schema: {e}")))?;
-        Ok(path)
+        self.save_in(Path::new(RESULTS_DIR))
+    }
+
+    /// Writes the report to `dir/BENCH_compare.json`, re-parsing and schema-checking
+    /// the written bytes before reporting success.
+    pub fn save_in(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        save_checked(dir, "BENCH_compare.json", &self.to_json(), validate)
     }
 }
 

@@ -23,6 +23,7 @@
 //! with schema [`UPDATE_SCHEMA`], re-validated on save like the other
 //! artifacts.
 
+use crate::report::{save_checked, RESULTS_DIR};
 use crate::setup::{self, DEFAULT_SILOS};
 use crate::workload::hop_bucketed_queries;
 use crate::BENCH_SEED;
@@ -36,8 +37,7 @@ use fedroad_graph::gen::RoadNetworkPreset;
 use fedroad_graph::traffic::{CongestionLevel, CongestionWave};
 use fedroad_graph::{VertexId, Weight};
 use fedroad_mpc::{BatchScheduler, SacBackend, SacEngine};
-use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -308,19 +308,15 @@ impl UpdateReport {
         self.to_value().to_json()
     }
 
-    /// Writes the report to `results/BENCH_update.json`, re-parsing and
-    /// schema-checking the written bytes before reporting success.
+    /// Writes the report to `results/BENCH_update.json` (what the binaries do).
     pub fn save(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join("BENCH_update.json");
-        let text = self.to_json();
-        fs::write(&path, &text)?;
-        let doc = Value::parse(&text)
-            .map_err(|e| std::io::Error::other(format!("written report does not re-parse: {e}")))?;
-        validate(&doc)
-            .map_err(|e| std::io::Error::other(format!("written report fails its schema: {e}")))?;
-        Ok(path)
+        self.save_in(Path::new(RESULTS_DIR))
+    }
+
+    /// Writes the report to `dir/BENCH_update.json`, re-parsing and schema-checking
+    /// the written bytes before reporting success.
+    pub fn save_in(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        save_checked(dir, "BENCH_update.json", &self.to_json(), validate)
     }
 }
 

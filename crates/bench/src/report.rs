@@ -1,8 +1,31 @@
 //! Human-readable tables plus machine-readable JSON records.
 
-use fedroad_core::jsonio::Value;
+use fedroad_core::jsonio::{JsonError, Value};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+
+/// Where the experiment binaries write their reports, relative to the
+/// working directory.
+pub const RESULTS_DIR: &str = "results";
+
+/// Writes `text` to `dir/file` (creating `dir`), then re-parses the text
+/// and checks it with `validate`: a report is never reported saved unless
+/// it round-trips through its schema.
+pub fn save_checked(
+    dir: &Path,
+    file: &str,
+    text: &str,
+    validate: fn(&Value) -> Result<(), JsonError>,
+) -> std::io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(file);
+    fs::write(&path, text)?;
+    let doc = Value::parse(text)
+        .map_err(|e| std::io::Error::other(format!("written report does not re-parse: {e}")))?;
+    validate(&doc)
+        .map_err(|e| std::io::Error::other(format!("written report fails its schema: {e}")))?;
+    Ok(path)
+}
 
 /// A generic experiment record: one measured point of a figure or table.
 #[derive(Clone, Debug)]
@@ -67,7 +90,7 @@ impl Reporter {
     /// Writes all records as JSON to `results/<name>.json` (directory
     /// created on demand) and reports the path.
     pub fn save(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
+        let dir = PathBuf::from(RESULTS_DIR);
         fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{name}.json"));
         fs::write(&path, self.to_json())?;

@@ -6,10 +6,10 @@
 //! tag and is re-validated on save, so downstream tooling can fail fast
 //! on drift instead of silently misreading fields.
 
+use crate::report::{save_checked, RESULTS_DIR};
 use fedroad_core::jsonio::{JsonError, Value};
 use fedroad_obs::{QueryTrace, Snapshot};
-use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Schema identifier of the report format this module writes. Bump the
 /// version suffix on any breaking change to the document shape.
@@ -186,19 +186,15 @@ impl RunReport {
         self.to_value().to_json()
     }
 
-    /// Writes the report to `results/BENCH_run.json`, re-parsing and
-    /// schema-checking the written bytes before reporting success.
+    /// Writes the report to `results/BENCH_run.json` (what the binaries do).
     pub fn save(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join("BENCH_run.json");
-        let text = self.to_json();
-        fs::write(&path, &text)?;
-        let doc = Value::parse(&text)
-            .map_err(|e| std::io::Error::other(format!("written report does not re-parse: {e}")))?;
-        validate(&doc)
-            .map_err(|e| std::io::Error::other(format!("written report fails its schema: {e}")))?;
-        Ok(path)
+        self.save_in(Path::new(RESULTS_DIR))
+    }
+
+    /// Writes the report to `dir/BENCH_run.json`, re-parsing and schema-checking
+    /// the written bytes before reporting success.
+    pub fn save_in(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        save_checked(dir, "BENCH_run.json", &self.to_json(), validate)
     }
 }
 

@@ -41,14 +41,13 @@ use crate::lb::{
     FedAltMaxPotential, FedAltPotential, FedAmpsPotential, FedPotential, LandmarkPartials,
     LowerBoundKind, ZeroFedPotential,
 };
-use crate::partials::{to_ring, JointComparator, PartialKey};
+use crate::partials::{ring_words, JointComparator, PartialKey};
 use crate::spsp::{fed_spsp, SpspOutcome};
 use crate::view::{BaseView, SearchView};
 use fedroad_graph::landmarks::LandmarkTable;
 use fedroad_graph::{Graph, VertexId};
-use fedroad_mpc::{BatchScheduler, DuelTicket, SacSession, SacStats, SchedulerStats};
+use fedroad_mpc::{BatchScheduler, DuelBuf, DuelTicket, SacSession, SacStats, SchedulerStats};
 use fedroad_queue::DuelBatch;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -153,24 +152,38 @@ struct SessionComparator<'s> {
     session: &'s SacSession<'s>,
     batched: bool,
     invocations: u64,
-    tickets: HashMap<u64, DuelTicket>,
-    next_ticket_key: u64,
+    /// Every request's duels, shifted into the ring; refilled per request.
+    duels: DuelBuf,
+    /// Deferred batches' tickets; `DuelBatch::Deferred(i)` is slot `i`.
+    deferred: Vec<Option<DuelTicket>>,
 }
 
 impl<'s> SessionComparator<'s> {
-    fn new(session: &'s SacSession<'s>, batched: bool) -> Self {
+    fn new(session: &'s SacSession<'s>, num_silos: usize, batched: bool) -> Self {
         SessionComparator {
             session,
             batched,
             invocations: 0,
-            tickets: HashMap::new(),
-            next_ticket_key: 0,
+            duels: DuelBuf::new(num_silos),
+            deferred: Vec::new(),
         }
     }
 
-    fn compare_now(&mut self, pairs: &[(Vec<u64>, Vec<u64>)]) -> Vec<bool> {
+    /// Refills the duel buffer with `pairs` and counts them.
+    fn load(&mut self, pairs: &[(&PartialKey, &PartialKey)]) {
+        self.invocations += pairs.len() as u64;
+        self.duels.clear();
+        for (a, b) in pairs {
+            self.duels
+                .push(ring_words(a), ring_words(b))
+                .expect("keys carry one partial cost per silo");
+        }
+    }
+
+    fn compare_now(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> Vec<bool> {
+        self.load(pairs);
         self.session
-            .compare_many(pairs)
+            .compare_many(&self.duels)
             .expect("scheduler-backed Fed-SAC cannot fail on range-checked keys")
     }
 }
@@ -178,47 +191,38 @@ impl<'s> SessionComparator<'s> {
 impl JointComparator for SessionComparator<'_> {
     fn less(&mut self, a: &PartialKey, b: &PartialKey) -> bool {
         debug_assert_eq!(a.len(), b.len());
-        self.invocations += 1;
-        let bits = self.compare_now(&[(to_ring(a), to_ring(b))]);
-        bits[0]
+        self.compare_now(&[(a, b)])[0]
     }
 
     fn less_batch(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> Vec<bool> {
         if !self.batched || pairs.len() <= 1 {
             return pairs.iter().map(|(a, b)| self.less(a, b)).collect();
         }
-        self.invocations += pairs.len() as u64;
-        let ring_pairs: Vec<(Vec<u64>, Vec<u64>)> = pairs
-            .iter()
-            .map(|(a, b)| (to_ring(a), to_ring(b)))
-            .collect();
-        self.compare_now(&ring_pairs)
+        self.compare_now(pairs)
     }
 
     fn submit_batch(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> DuelBatch {
         if !self.batched || pairs.len() <= 1 {
             return DuelBatch::Ready(self.less_batch(pairs));
         }
-        self.invocations += pairs.len() as u64;
-        let ring_pairs: Vec<(Vec<u64>, Vec<u64>)> = pairs
-            .iter()
-            .map(|(a, b)| (to_ring(a), to_ring(b)))
-            .collect();
-        let ticket = self.session.submit(&ring_pairs);
-        let key = self.next_ticket_key;
-        self.next_ticket_key += 1;
-        self.tickets.insert(key, ticket);
-        DuelBatch::Deferred(key)
+        self.load(pairs);
+        self.deferred.push(Some(self.session.submit(&self.duels)));
+        DuelBatch::Deferred((self.deferred.len() - 1) as u64)
     }
 
     fn resolve_batch(&mut self, batch: DuelBatch) -> Vec<bool> {
         match batch {
             DuelBatch::Ready(bits) => bits,
-            DuelBatch::Deferred(key) => {
+            DuelBatch::Deferred(slot) => {
                 let ticket = self
-                    .tickets
-                    .remove(&key)
+                    .deferred
+                    .get_mut(slot as usize)
+                    .and_then(Option::take)
                     .expect("deferred ticket issued by this comparator");
+                // Trim redeemed slots off the end so slot numbers restart.
+                while let Some(None) = self.deferred.last() {
+                    self.deferred.pop();
+                }
                 self.session
                     .wait(ticket)
                     .expect("scheduler-backed Fed-SAC cannot fail on range-checked keys")
@@ -354,7 +358,8 @@ fn run_one_on(
 ) -> QueryResult {
     let start = Instant::now();
     let session = scheduler.register();
-    let mut cmp = SessionComparator::new(&session, snapshot.config.batch_rounds);
+    let mut cmp =
+        SessionComparator::new(&session, snapshot.num_silos(), snapshot.config.batch_rounds);
     let outcome = snapshot.run_spsp(s, t, &mut cmp);
     let stats = QueryStats {
         sac_invocations: cmp.invocations,

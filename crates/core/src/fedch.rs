@@ -129,8 +129,48 @@ struct TopoArc {
     /// `min(rank(tail), rank(head))` — the customization processing level:
     /// an arc's weight is final once every lower level is.
     level: u32,
-    /// Lower triangles in middle-rank order (creation order).
-    triangles: Vec<Triangle>,
+}
+
+/// Per-arc lists stored flat, one allocation for all of them: list `i` is
+/// `items[start[i]..start[i + 1]]`.
+#[derive(Debug)]
+struct Csr<T> {
+    start: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Groups the `(list, item)` pairs `pairs()` yields into `lists`
+    /// lists, keeping each list's items in the order yielded. A counting
+    /// sort: `pairs` is called twice, once to size the lists and once to
+    /// fill them, so no pair buffer is ever held.
+    fn group<I: Iterator<Item = (u32, T)>>(lists: usize, pairs: impl Fn() -> I) -> Self {
+        let mut start = vec![0u32; lists + 1];
+        for (list, _) in pairs() {
+            start[list as usize + 1] += 1;
+        }
+        for i in 0..lists {
+            start[i + 1] += start[i];
+        }
+        let Some((_, first)) = pairs().next() else {
+            return Csr {
+                start,
+                items: Vec::new(),
+            };
+        };
+        let mut items = vec![first; start[lists] as usize];
+        let mut next = start.clone();
+        for (list, item) in pairs() {
+            let at = &mut next[list as usize];
+            items[*at as usize] = item;
+            *at += 1;
+        }
+        Csr { start, items }
+    }
+
+    fn get(&self, list: usize) -> &[T] {
+        &self.items[self.start[list] as usize..self.start[list + 1] as usize]
+    }
 }
 
 /// The metric-independent half of the index: contraction order, overlay
@@ -145,13 +185,15 @@ pub struct FedChTopology {
     /// Number of arcs in the base graph (sizes `orig_to_arena`).
     num_base_arcs: usize,
     arcs: Vec<TopoArc>,
+    /// Each arena arc's lower triangles in middle-rank (creation) order.
+    triangles: Csr<Triangle>,
     /// Upward forward adjacency: arena ids, sorted by head vertex.
     up_out: Vec<Vec<u32>>,
     /// Upward backward adjacency: arena ids, sorted by tail vertex.
     up_in: Vec<Vec<u32>>,
     /// Arena arcs with a triangle through this arc — who must be
     /// recomputed when this arc's weight changes.
-    dependents: Vec<Vec<u32>>,
+    dependents: Csr<u32>,
     /// All arena ids sorted by `(level, id)` — the full customization
     /// sweep order.
     level_order: Vec<u32>,
@@ -177,6 +219,8 @@ impl FedChTopology {
         }
 
         let mut arcs: Vec<TopoArc> = Vec::new();
+        // (arena id, triangle) in creation order.
+        let mut tris: Vec<(u32, Triangle)> = Vec::new();
         let mut orig_to_arena: Vec<Option<u32>> = vec![None; graph.num_arcs()];
         // Adjacency under construction: other endpoint → arena id. BTreeMap
         // keeps neighbourhood enumeration deterministic across runs.
@@ -201,7 +245,6 @@ impl FedChTopology {
                             head: arc.head,
                             orig: Some(arc.id),
                             level: rank[v.index()].min(rank[arc.head.index()]),
-                            triangles: Vec::new(),
                         });
                         fwd[v.index()].insert(arc.head.0, id);
                         bwd[arc.head.index()].insert(v.0, id);
@@ -230,12 +273,8 @@ impl FedChTopology {
                     if w == u {
                         continue;
                     }
-                    match fwd[u as usize].get(&w).copied() {
-                        Some(id) => {
-                            arcs[id as usize]
-                                .triangles
-                                .push(Triangle { middle: v, uv, vw })
-                        }
+                    let id = match fwd[u as usize].get(&w).copied() {
+                        Some(id) => id,
                         None => {
                             let id = arcs.len() as u32;
                             arcs.push(TopoArc {
@@ -243,35 +282,42 @@ impl FedChTopology {
                                 head: VertexId(w),
                                 orig: None,
                                 level: rank[u as usize].min(rank[w as usize]),
-                                triangles: vec![Triangle { middle: v, uv, vw }],
                             });
                             fwd[u as usize].insert(w, id);
                             bwd[w as usize].insert(u, id);
+                            id
                         }
-                    }
+                    };
+                    tris.push((id, Triangle { middle: v, uv, vw }));
                 }
             }
         }
 
+        // The construction maps are done with: free them before the
+        // derived structures are built, which keeps the build's peak down.
+        drop((fwd, bwd, contracted));
         Self::finish(
             order.to_vec(),
             rank,
             core_size,
             graph.num_arcs(),
             arcs,
+            tris,
             orig_to_arena,
         )
     }
 
-    /// Derives the redundant structures (up lists, dependents, sweep
-    /// order) from the arena — shared by [`Self::build`] and the JSON
-    /// restore path.
+    /// Groups the triangles per arc and derives the redundant structures
+    /// (up lists, dependents, sweep order) from the arena — shared by
+    /// [`Self::build`] and the JSON restore path. `tris` pairs arena ids
+    /// with triangles, each arc's in creation order.
     fn finish(
         order: Vec<VertexId>,
         rank: Vec<u32>,
         core_size: usize,
         num_base_arcs: usize,
         arcs: Vec<TopoArc>,
+        tris: Vec<(u32, Triangle)>,
         orig_to_arena: Vec<Option<u32>>,
     ) -> Self {
         let n = order.len();
@@ -298,13 +344,16 @@ impl FedChTopology {
         for list in up_in.iter_mut() {
             list.sort_unstable_by_key(|&id| arcs[id as usize].tail.0);
         }
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); arcs.len()];
-        for (id, arc) in arcs.iter().enumerate() {
-            for t in &arc.triangles {
-                dependents[t.uv as usize].push(id as u32);
-                dependents[t.vw as usize].push(id as u32);
-            }
-        }
+        let triangles = Csr::group(arcs.len(), || tris.iter().copied());
+        drop(tris);
+        let dependents = Csr::group(arcs.len(), || {
+            (0..arcs.len() as u32).flat_map(|id| {
+                triangles
+                    .get(id as usize)
+                    .iter()
+                    .flat_map(move |t| [(t.uv, id), (t.vw, id)])
+            })
+        });
         let mut level_order: Vec<u32> = (0..arcs.len() as u32).collect();
         level_order.sort_unstable_by_key(|&id| (arcs[id as usize].level, id));
         FedChTopology {
@@ -313,6 +362,7 @@ impl FedChTopology {
             core_size,
             num_base_arcs,
             arcs,
+            triangles,
             up_out,
             up_in,
             dependents,
@@ -333,7 +383,7 @@ impl FedChTopology {
 
     /// Total lower triangles — the full-customization work unit.
     pub fn num_triangles(&self) -> usize {
-        self.arcs.iter().map(|a| a.triangles.len()).sum()
+        self.triangles.items.len()
     }
 
     /// Number of uncontracted core vertices.
@@ -352,11 +402,14 @@ impl FedChTopology {
 #[derive(Clone, Debug)]
 pub struct FedChIndex {
     topo: Arc<FedChTopology>,
-    /// Per-arena-arc base weights (empty for pure shortcuts): the inputs
-    /// customization folds triangles against.
-    base: Vec<Vec<Weight>>,
-    /// Customized per-silo weights, arena-indexed.
-    weights: Vec<Vec<Weight>>,
+    /// Silo columns per weight row (1 in a [`Self::silo_view`]).
+    width: usize,
+    /// Per-arena-arc base weights, one `width` row per arc (rows of pure
+    /// shortcuts are unused): the inputs customization folds triangles
+    /// against.
+    base: Vec<Weight>,
+    /// Customized per-silo weights, one `width` row per arena arc.
+    weights: Vec<Weight>,
     /// Winning middle per arena arc (`None`: the base arc wins).
     middle: Vec<Option<VertexId>>,
     /// Bumped once per effective customization batch; zero-delta batches
@@ -392,10 +445,13 @@ impl FedChIndex {
         cmp: &mut dyn JointComparator,
     ) -> Self {
         let m = topo.arcs.len();
-        let mut base: Vec<Vec<Weight>> = vec![Vec::new(); m];
-        for (id, arc) in topo.arcs.iter().enumerate() {
+        let width = silos.len();
+        let mut base = vec![0; m * width];
+        for (row, arc) in base.chunks_exact_mut(width).zip(&topo.arcs) {
             if let Some(a) = arc.orig {
-                base[id] = silos.iter().map(|s| s.weight(a)).collect();
+                for (slot, s) in row.iter_mut().zip(silos) {
+                    *slot = s.weight(a);
+                }
             }
         }
         let stats = FedChStats {
@@ -405,8 +461,9 @@ impl FedChIndex {
         };
         let mut index = FedChIndex {
             topo,
+            width,
             base,
-            weights: vec![Vec::new(); m],
+            weights: vec![0; m * width],
             middle: vec![None; m],
             epoch: 0,
             stats,
@@ -426,8 +483,8 @@ impl FedChIndex {
         let mut last_level = None;
         for &id in &topo.level_order {
             let arc = &topo.arcs[id as usize];
-            let (w, m) = recompute_arc(arc, &self.base[id as usize], &self.weights, cmp);
-            self.weights[id as usize] = w;
+            let (w, m) = self.recompute_arc(id, cmp);
+            self.weights_of_mut(id).copy_from_slice(&w);
             self.middle[id as usize] = m;
             stats.touched += 1;
             if last_level != Some(arc.level) {
@@ -466,7 +523,10 @@ impl FedChIndex {
             let Some(Some(id)) = topo.orig_to_arena.get(ch.arc.index()).copied() else {
                 continue; // self-loops never enter the overlay
             };
-            let slot = &mut self.base[id as usize][ch.silo];
+            let width = self.width;
+            let Some(slot) = self.base[id as usize * width..][..width].get_mut(ch.silo) else {
+                continue; // no such silo column
+            };
             if *slot == ch.weight {
                 continue; // zero-delta: nothing dirtied, epoch untouched
             }
@@ -484,13 +544,12 @@ impl FedChIndex {
             stats.cone_depth += 1;
             for id in ids {
                 stats.touched += 1;
-                let arc = &topo.arcs[id as usize];
-                let (w, m) = recompute_arc(arc, &self.base[id as usize], &self.weights, cmp);
-                if w != self.weights[id as usize] || m != self.middle[id as usize] {
-                    self.weights[id as usize] = w;
+                let (w, m) = self.recompute_arc(id, cmp);
+                if w != self.weights_of(id) || m != self.middle[id as usize] {
+                    self.weights_of_mut(id).copy_from_slice(&w);
                     self.middle[id as usize] = m;
                     stats.changed += 1;
-                    for &dep in &topo.dependents[id as usize] {
+                    for &dep in topo.dependents.get(id as usize) {
                         dirty
                             .entry(topo.arcs[dep as usize].level)
                             .or_default()
@@ -538,6 +597,62 @@ impl FedChIndex {
         &self.topo
     }
 
+    /// Arena arc `id`'s customized per-silo weights.
+    fn weights_of(&self, id: u32) -> &[Weight] {
+        &self.weights[id as usize * self.width..][..self.width]
+    }
+
+    fn weights_of_mut(&mut self, id: u32) -> &mut [Weight] {
+        &mut self.weights[id as usize * self.width..][..self.width]
+    }
+
+    /// Arena arc `id`'s base weights, `None` for a pure shortcut.
+    fn base_of(&self, id: u32) -> Option<&[Weight]> {
+        self.topo.arcs[id as usize]
+            .orig
+            .map(|_| &self.base[id as usize * self.width..][..self.width])
+    }
+
+    /// Recomputes arena arc `id`'s customized weight: the base weight
+    /// (when backed by an original arc) folded with every lower
+    /// triangle's via cost, each keep-minimum decided by `cmp`. The fold
+    /// order is fixed (base first, triangles in creation order), so
+    /// identical inputs always reproduce identical outputs — the
+    /// bit-identity invariant behind partial updates.
+    fn recompute_arc(
+        &self,
+        id: u32,
+        cmp: &mut dyn JointComparator,
+    ) -> (Vec<Weight>, Option<VertexId>) {
+        let via = |t: &Triangle| -> Vec<Weight> {
+            self.weights_of(t.uv)
+                .iter()
+                .zip(self.weights_of(t.vw))
+                .map(|(a, b)| a + b)
+                .collect()
+        };
+        let mut tris = self.topo.triangles.get(id as usize).iter();
+        let (mut best, mut mid) = if let Some(base) = self.base_of(id) {
+            (base.to_vec(), None)
+        } else if let Some(t) = tris.next() {
+            (via(t), Some(t.middle))
+        } else {
+            // Unreachable by construction (every overlay arc is original or
+            // carries a triangle); keep the hot path panic-free regardless.
+            return (vec![0; self.width], None);
+        };
+        for t in tris {
+            let cand = via(t);
+            let ck: PartialKey = cand.iter().map(|&x| x as i64).collect();
+            let bk: PartialKey = best.iter().map(|&x| x as i64).collect();
+            if cmp.less(&ck, &bk) {
+                best = cand;
+                mid = Some(t.middle);
+            }
+        }
+        (best, mid)
+    }
+
     /// Number of uncontracted core vertices.
     pub fn core_size(&self) -> usize {
         self.topo.core_size
@@ -573,7 +688,7 @@ impl FedChIndex {
             .iter()
             .map(|&id| FedChArc {
                 head: self.topo.arcs[id as usize].head,
-                weights: self.weights[id as usize].clone(),
+                weights: self.weights_of(id).to_vec(),
                 middle: self.middle[id as usize],
             })
             .collect()
@@ -585,7 +700,7 @@ impl FedChIndex {
             .iter()
             .map(|&id| FedChArc {
                 head: self.topo.arcs[id as usize].tail,
-                weights: self.weights[id as usize].clone(),
+                weights: self.weights_of(id).to_vec(),
                 middle: self.middle[id as usize],
             })
             .collect()
@@ -593,9 +708,11 @@ impl FedChIndex {
 
     /// Serializes the index to JSON (persistence between sessions).
     pub fn to_json(&self) -> Result<String, JsonError> {
-        let weight_rows = |rows: &[Vec<Weight>]| -> Value {
-            Value::Arr(rows.iter().map(|row| weights_to_value(row)).collect())
-        };
+        let ids = 0..self.topo.arcs.len() as u32;
+        let base_rows = ids
+            .clone()
+            .map(|id| weights_to_value(self.base_of(id).unwrap_or_default()));
+        let weight_rows = ids.map(|id| weights_to_value(self.weights_of(id)));
         let doc = Value::Obj(vec![
             (
                 "order".into(),
@@ -615,10 +732,17 @@ impl FedChIndex {
             ("epoch".into(), Value::Int(self.epoch as i128)),
             (
                 "arcs".into(),
-                Value::Arr(self.topo.arcs.iter().map(topo_arc_to_value).collect()),
+                Value::Arr(
+                    self.topo
+                        .arcs
+                        .iter()
+                        .enumerate()
+                        .map(|(id, arc)| topo_arc_to_value(arc, self.topo.triangles.get(id)))
+                        .collect(),
+                ),
             ),
-            ("base".into(), weight_rows(&self.base)),
-            ("weights".into(), weight_rows(&self.weights)),
+            ("base".into(), Value::Arr(base_rows.collect())),
+            ("weights".into(), Value::Arr(weight_rows.collect())),
             (
                 "middle".into(),
                 Value::Arr(
@@ -647,12 +771,19 @@ impl FedChIndex {
         let core_size = doc.get("core_size")?.as_u64()? as usize;
         let num_base_arcs = doc.get("num_base_arcs")?.as_u64()? as usize;
         let epoch = doc.get("epoch")?.as_u64()?;
-        let arcs: Vec<TopoArc> = doc
-            .get("arcs")?
-            .as_arr()?
+        let mut arcs: Vec<TopoArc> = Vec::new();
+        let mut tris: Vec<(u32, Triangle)> = Vec::new();
+        for (id, v) in doc.get("arcs")?.as_arr()?.iter().enumerate() {
+            let (arc, arc_tris) = topo_arc_from_value(v)?;
+            arcs.push(arc);
+            tris.extend(arc_tris.into_iter().map(|t| (id as u32, t)));
+        }
+        if tris
             .iter()
-            .map(topo_arc_from_value)
-            .collect::<Result<_, _>>()?;
+            .any(|(_, t)| t.uv as usize >= arcs.len() || t.vw as usize >= arcs.len())
+        {
+            return Err(JsonError::Schema("triangle arc out of range".into()));
+        }
         let n = order.len();
         let mut rank = vec![0u32; n];
         for (r, &v) in order.iter().enumerate() {
@@ -663,7 +794,6 @@ impl FedChIndex {
         }
         // Levels and the orig mapping are redundant with the arena; rebuild
         // both rather than trusting the document.
-        let mut arcs = arcs;
         let mut orig_to_arena: Vec<Option<u32>> = vec![None; num_base_arcs];
         for (id, arc) in arcs.iter_mut().enumerate() {
             let (rt, rh) = (
@@ -689,8 +819,8 @@ impl FedChIndex {
                 .map(weights_from_value)
                 .collect()
         };
-        let base = weight_rows("base")?;
-        let weights = weight_rows("weights")?;
+        let base_rows = weight_rows("base")?;
+        let weight_rows = weight_rows("weights")?;
         let middle: Vec<Option<VertexId>> = doc
             .get("middle")?
             .as_arr()?
@@ -700,13 +830,42 @@ impl FedChIndex {
                 v => v.as_u32().map(|x| Some(VertexId(x))),
             })
             .collect::<Result<_, _>>()?;
-        if base.len() != arcs.len() || weights.len() != arcs.len() || middle.len() != arcs.len() {
+        if base_rows.len() != arcs.len()
+            || weight_rows.len() != arcs.len()
+            || middle.len() != arcs.len()
+        {
             return Err(JsonError::Schema(
                 "weight/middle rows must match the arena".into(),
             ));
         }
-        let topo =
-            FedChTopology::finish(order, rank, core_size, num_base_arcs, arcs, orig_to_arena);
+        // Every weight row has one column per silo; base rows too, except
+        // that pure shortcuts have none.
+        let width = weight_rows.first().map_or(0, Vec::len);
+        let mut base = vec![0; arcs.len() * width];
+        for ((row, arc), slots) in base_rows
+            .iter()
+            .zip(&arcs)
+            .zip(base.chunks_exact_mut(width.max(1)))
+        {
+            match (arc.orig, row.len()) {
+                (Some(_), len) if len == width => slots.copy_from_slice(row),
+                (None, 0) => {}
+                _ => return Err(JsonError::Schema("base row does not fit its arc".into())),
+            }
+        }
+        if weight_rows.iter().any(|row| row.len() != width) {
+            return Err(JsonError::Schema("weight rows differ in width".into()));
+        }
+        let weights = weight_rows.concat();
+        let topo = FedChTopology::finish(
+            order,
+            rank,
+            core_size,
+            num_base_arcs,
+            arcs,
+            tris,
+            orig_to_arena,
+        );
         let stats = FedChStats {
             overlay_arcs: topo.arcs.len() as u64,
             shortcuts: topo.num_shortcuts() as u64,
@@ -714,6 +873,7 @@ impl FedChIndex {
         };
         Ok(FedChIndex {
             topo: Arc::new(topo),
+            width,
             base,
             weights,
             middle,
@@ -727,67 +887,20 @@ impl FedChIndex {
     /// every partial-weight vector reduced to that silo's single column —
     /// what a real silo would persist locally.
     pub fn silo_view(&self, p: usize) -> FedChIndex {
-        let strip = |rows: &[Vec<Weight>]| -> Vec<Vec<Weight>> {
-            rows.iter()
-                .map(|row| {
-                    if row.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![row[p]]
-                    }
-                })
-                .collect()
+        let column = |slab: &[Weight]| -> Vec<Weight> {
+            slab.iter().skip(p).step_by(self.width).copied().collect()
         };
         FedChIndex {
             topo: Arc::clone(&self.topo),
-            base: strip(&self.base),
-            weights: strip(&self.weights),
+            width: 1,
+            base: column(&self.base),
+            weights: column(&self.weights),
             middle: self.middle.clone(),
             epoch: self.epoch,
             stats: self.stats,
             last_customize: self.last_customize,
         }
     }
-}
-
-/// Recomputes one arc's customized weight: the base weight (when backed by
-/// an original arc) folded with every lower triangle's via cost, each
-/// keep-minimum decided by `cmp`. The fold order is fixed (base first,
-/// triangles in creation order), so identical inputs always reproduce
-/// identical outputs — the bit-identity invariant behind partial updates.
-fn recompute_arc(
-    arc: &TopoArc,
-    base: &[Weight],
-    weights: &[Vec<Weight>],
-    cmp: &mut dyn JointComparator,
-) -> (Vec<Weight>, Option<VertexId>) {
-    let via = |t: &Triangle| -> Vec<Weight> {
-        weights[t.uv as usize]
-            .iter()
-            .zip(&weights[t.vw as usize])
-            .map(|(a, b)| a + b)
-            .collect()
-    };
-    let mut tris = arc.triangles.iter();
-    let (mut best, mut mid) = if !base.is_empty() {
-        (base.to_vec(), None)
-    } else if let Some(t) = tris.next() {
-        (via(t), Some(t.middle))
-    } else {
-        // Unreachable by construction (every overlay arc is original or
-        // carries a triangle); keep the hot path panic-free regardless.
-        return (Vec::new(), None);
-    };
-    for t in tris {
-        let cand = via(t);
-        let ck: PartialKey = cand.iter().map(|&x| x as i64).collect();
-        let bk: PartialKey = best.iter().map(|&x| x as i64).collect();
-        if cmp.less(&ck, &bk) {
-            best = cand;
-            mid = Some(t.middle);
-        }
-    }
-    (best, mid)
 }
 
 /// Emits the customization telemetry: epoch gauge, cone counters, and the
@@ -809,7 +922,7 @@ fn weights_from_value(v: &Value) -> Result<Vec<Weight>, JsonError> {
     v.as_arr()?.iter().map(Value::as_u64).collect()
 }
 
-fn topo_arc_to_value(arc: &TopoArc) -> Value {
+fn topo_arc_to_value(arc: &TopoArc, triangles: &[Triangle]) -> Value {
     Value::Obj(vec![
         ("tail".into(), Value::Int(arc.tail.0 as i128)),
         ("head".into(), Value::Int(arc.head.0 as i128)),
@@ -823,7 +936,7 @@ fn topo_arc_to_value(arc: &TopoArc) -> Value {
         (
             "tris".into(),
             Value::Arr(
-                arc.triangles
+                triangles
                     .iter()
                     .map(|t| {
                         Value::Arr(vec![
@@ -838,7 +951,7 @@ fn topo_arc_to_value(arc: &TopoArc) -> Value {
     ])
 }
 
-fn topo_arc_from_value(v: &Value) -> Result<TopoArc, JsonError> {
+fn topo_arc_from_value(v: &Value) -> Result<(TopoArc, Vec<Triangle>), JsonError> {
     let tri = |t: &Value| -> Result<Triangle, JsonError> {
         match t.as_arr()? {
             [m, uv, vw] => Ok(Triangle {
@@ -849,7 +962,7 @@ fn topo_arc_from_value(v: &Value) -> Result<TopoArc, JsonError> {
             _ => Err(JsonError::Schema("expected [middle, uv, vw] triple".into())),
         }
     };
-    Ok(TopoArc {
+    let arc = TopoArc {
         tail: VertexId(v.get("tail")?.as_u32()?),
         head: VertexId(v.get("head")?.as_u32()?),
         orig: match v.get("orig")? {
@@ -857,13 +970,14 @@ fn topo_arc_from_value(v: &Value) -> Result<TopoArc, JsonError> {
             a => Some(ArcId(a.as_u32()?)),
         },
         level: 0, // rebuilt from ranks by the caller
-        triangles: v
-            .get("tris")?
-            .as_arr()?
-            .iter()
-            .map(tri)
-            .collect::<Result<_, _>>()?,
-    })
+    };
+    let triangles = v
+        .get("tris")?
+        .as_arr()?
+        .iter()
+        .map(tri)
+        .collect::<Result<_, _>>()?;
+    Ok((arc, triangles))
 }
 
 /// [`SearchView`] over the federated hierarchy's upward graphs — plugging
@@ -892,7 +1006,7 @@ impl SearchView for FedChView<'_> {
                 for &id in &topo.up_out[v.index()] {
                     f(
                         topo.arcs[id as usize].head,
-                        &self.index.weights[id as usize],
+                        self.index.weights_of(id),
                         self.index.middle[id as usize],
                     );
                 }
@@ -901,7 +1015,7 @@ impl SearchView for FedChView<'_> {
                 for &id in &topo.up_in[v.index()] {
                     f(
                         topo.arcs[id as usize].tail,
-                        &self.index.weights[id as usize],
+                        self.index.weights_of(id),
                         self.index.middle[id as usize],
                     );
                 }
@@ -1337,6 +1451,36 @@ mod persistence_tests {
             .expect("connected")
         };
         assert_eq!(oracle.path_cost_scaled(&fed, &path), Some(truth));
+    }
+
+    #[test]
+    fn restore_rejects_triangles_and_rows_that_do_not_fit_the_arena() {
+        let (_, index) = make_setup();
+        let json = index.to_json().expect("serializes");
+        // First triangle `[middle, uv, vw]`: point `uv` past the arena.
+        let at = json.find("\"tris\":[[").expect("some arc has a triangle") + 9;
+        let end = at + json[at..].find(']').expect("closed triangle");
+        let fields: Vec<&str> = json[at..end].split(',').collect();
+        let bad_tri = format!(
+            "{}{},{},{}{}",
+            &json[..at],
+            fields[0],
+            u32::MAX,
+            fields[2],
+            &json[end..]
+        );
+        assert!(matches!(
+            FedChIndex::from_json(&bad_tri),
+            Err(JsonError::Schema(_))
+        ));
+        // First weight row: drop its first silo column.
+        let at = json.find("\"weights\":[[").expect("weight rows") + 12;
+        let comma = at + json[at..].find(',').expect("three columns");
+        let bad_row = format!("{}{}", &json[..at], &json[comma + 1..]);
+        assert!(matches!(
+            FedChIndex::from_json(&bad_row),
+            Err(JsonError::Schema(_))
+        ));
     }
 
     #[test]

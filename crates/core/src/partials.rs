@@ -67,12 +67,15 @@ pub struct SacComparator<'e> {
 /// Shifts a signed per-silo key into the unsigned Fed-SAC ring (the
 /// uniform [`KEY_OFFSET`] cancels in every comparison).
 pub(crate) fn to_ring(k: &PartialKey) -> Vec<u64> {
-    k.iter()
-        .map(|&v| {
-            debug_assert!(v > -KEY_OFFSET && v < KEY_OFFSET, "key {v} out of range");
-            (v + KEY_OFFSET) as u64
-        })
-        .collect()
+    ring_words(k).collect()
+}
+
+/// [`to_ring`] without the allocation: the shifted words one by one.
+pub(crate) fn ring_words(k: &PartialKey) -> impl Iterator<Item = u64> + '_ {
+    k.iter().map(|&v| {
+        debug_assert!(v > -KEY_OFFSET && v < KEY_OFFSET, "key {v} out of range");
+        (v + KEY_OFFSET) as u64
+    })
 }
 
 impl<'e> SacComparator<'e> {

@@ -14,12 +14,15 @@ pub struct Path {
 }
 
 impl Path {
-    /// Creates a path from a vertex sequence.
+    /// Creates a path from a vertex sequence. The sequence is trimmed to
+    /// its length: searches build it by pushing, and a path outlives the
+    /// search as a query answer.
     ///
     /// # Panics
     /// Panics if the sequence is empty; a path has at least its source.
-    pub fn new(vertices: Vec<VertexId>) -> Self {
+    pub fn new(mut vertices: Vec<VertexId>) -> Self {
         assert!(!vertices.is_empty(), "a path contains at least one vertex");
+        vertices.shrink_to_fit();
         Path { vertices }
     }
 

@@ -94,18 +94,16 @@ pub const SHARE_TYPES: [&str; 9] = [
 /// `let`-bound from these are *tainted*: branching on them (R4) or
 /// debug-formatting them (R1) is a leak. `less_than*` is deliberately
 /// absent — its output is the protocol's one intentionally revealed bit.
-pub const SHARE_APIS: [&str; 21] = [
+pub const SHARE_APIS: [&str; 18] = [
     "additive_shares",
     "xor_shares",
     "edabit",
     "triple_word",
     "edabit_block",
     "triple_block",
-    "and_many",
     "and_many_scalar",
     "and_block",
     "add_public",
-    "add_public_many",
     "add_public_many_scalar",
     "add_public_block",
     "xor_words",
@@ -115,7 +113,6 @@ pub const SHARE_APIS: [&str; 21] = [
     "exchange",
     "broadcast_words",
     "broadcast_flat",
-    "scatter_words",
 ];
 
 /// Method names the lock engine (R11) treats as blocking operations:

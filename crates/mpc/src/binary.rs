@@ -10,7 +10,9 @@
 //! The batched kernels run on flat [`ShareBlock`] slabs ([`and_block`],
 //! [`add_public_block`]): party-major contiguous buffers whose inner loops
 //! are allocation-free slice walks the compiler can autovectorize, with
-//! broadcast payloads assembled directly from the rows. The original
+//! broadcast payloads assembled directly from the rows into caller-owned
+//! scratch ([`AndScratch`], [`AdderScratch`]) that is reused across calls.
+//! The original
 //! per-gate `Vec<SharedWord>` implementations are **retained** as
 //! `*_scalar` reference kernels: a differential proptest suite pins the
 //! vectorized path bit-identical (results *and* accounting) to them, and
@@ -136,34 +138,7 @@ pub fn and_block(
     }
 }
 
-/// Evaluates `k` shared-AND word gates in one round — the legacy
-/// `Vec<SharedWord>` interface over the flat [`and_block`] kernel. An empty
-/// batch is free: no round, no triples (all batched kernels agree on this;
-/// regression-tested).
-pub fn and_many(
-    mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
-    pairs: &[(SharedWord, SharedWord)],
-) -> Vec<SharedWord> {
-    if pairs.is_empty() {
-        return Vec::new();
-    }
-    let n = mesh.num_parties();
-    let k = pairs.len();
-    let mut x = ShareBlock::zeroed(n, k);
-    let mut y = ShareBlock::zeroed(n, k);
-    for (i, (xw, yw)) in pairs.iter().enumerate() {
-        for p in 0..n {
-            x.set(p, i, xw[p]);
-            y.set(p, i, yw[p]);
-        }
-    }
-    let mut out = ShareBlock::zeroed(n, k);
-    and_block(mesh, dealer, &x, &y, &mut out, &mut AndScratch::default());
-    out.to_words()
-}
-
-/// Scalar reference implementation of [`and_many`]: the original per-gate
+/// Scalar reference implementation of [`and_block`]: the original per-gate
 /// `Vec<SharedWord>` kernel, retained verbatim so the differential suite
 /// can pin the vectorized path bit-identical to it and `compare_bench` can
 /// measure the speedup. Consumes the dealer stream in the same order.
@@ -234,9 +209,38 @@ pub fn add_public(
     addend: u64,
     s: &SharedWord,
 ) -> Result<SharedWord, ProtocolError> {
-    add_public_many(mesh, dealer, &[(addend, s.clone())])
-        .pop()
-        .ok_or(ProtocolError::MissingOutput)
+    let n = mesh.num_parties();
+    if s.len() != n {
+        return Err(ProtocolError::WrongSiloCount {
+            expected: n,
+            got: s.len(),
+        });
+    }
+    let mut out = ShareBlock::zeroed(n, 1);
+    add_public_block(
+        mesh,
+        dealer,
+        &[addend],
+        &ShareBlock::from_words(n, std::slice::from_ref(s)),
+        &mut out,
+        &mut AdderScratch::default(),
+    );
+    out.to_words().pop().ok_or(ProtocolError::MissingOutput)
+}
+
+/// Reusable buffers for [`add_public_block`]: the generate/propagate rows,
+/// the `2k`-lane AND operands, and the AND layers' own scratch. The caller
+/// owns one and passes it to every call, so the adder allocates only while
+/// its batch width grows.
+#[derive(Default)]
+pub struct AdderScratch {
+    g: ShareBlock,
+    prop: ShareBlock,
+    prop0: ShareBlock,
+    ax: ShareBlock,
+    ay: ShareBlock,
+    az: ShareBlock,
+    and: AndScratch,
 }
 
 /// Evaluates `k` independent public-plus-shared additions over flat lane
@@ -253,6 +257,7 @@ pub fn add_public_block(
     addends: &[u64],
     s: &ShareBlock,
     out: &mut ShareBlock,
+    scratch: &mut AdderScratch,
 ) {
     let n = mesh.num_parties();
     let k = addends.len();
@@ -261,18 +266,27 @@ pub fn add_public_block(
     if k == 0 {
         return;
     }
+    let AdderScratch {
+        g,
+        prop,
+        prop0,
+        ax,
+        ay,
+        az,
+        and,
+    } = scratch;
 
     // g = addend ∧ s and p = addend ⊕ s are local thanks to the public
     // operand (party 0 absorbs the XOR).
-    let mut g = ShareBlock::zeroed(n, k);
-    let mut prop = ShareBlock::zeroed(n, k);
+    g.reset(n, k);
+    prop0.reset(n, k);
     for p in 0..n {
         let sr = s.party(p);
         let gr = g.party_mut(p);
         for i in 0..k {
             gr[i] = sr[i] & addends[i];
         }
-        let pr = prop.party_mut(p);
+        let pr = prop0.party_mut(p);
         if p == 0 {
             for i in 0..k {
                 pr[i] = sr[i] ^ addends[i];
@@ -281,13 +295,12 @@ pub fn add_public_block(
             pr.copy_from_slice(sr);
         }
     }
-    let prop0 = prop.clone();
+    prop.copy_from(prop0);
 
-    // Scratch for the 2k-lane AND layers, allocated once for all 6 layers.
-    let mut ax = ShareBlock::zeroed(n, 2 * k);
-    let mut ay = ShareBlock::zeroed(n, 2 * k);
-    let mut az = ShareBlock::zeroed(n, 2 * k);
-    let mut scratch = AndScratch::default();
+    // The 2k-lane AND operands, shaped once for all 6 layers.
+    ax.reset(n, 2 * k);
+    ay.reset(n, 2 * k);
+    az.reset(n, 2 * k);
 
     for shift in ADDER_SHIFTS {
         for p in 0..n {
@@ -303,7 +316,7 @@ pub fn add_public_block(
                 yr[2 * i + 1] = pr[i] << shift;
             }
         }
-        and_block(mesh, dealer, &ax, &ay, &mut az, &mut scratch);
+        and_block(mesh, dealer, ax, ay, az, and);
         // In carry semantics G and P∧G' are never simultaneously 1, so XOR
         // implements the OR of the classic formulation exactly.
         for p in 0..n {
@@ -329,34 +342,7 @@ pub fn add_public_block(
     }
 }
 
-/// Evaluates `k` independent public-plus-shared additions with shared
-/// rounds — the legacy `Vec<SharedWord>` interface over the flat
-/// [`add_public_block`] kernel. An empty batch is free: no rounds, no
-/// triples.
-pub fn add_public_many(
-    mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
-    inputs: &[(u64, SharedWord)],
-) -> Vec<SharedWord> {
-    if inputs.is_empty() {
-        return Vec::new();
-    }
-    let n = mesh.num_parties();
-    let k = inputs.len();
-    let mut addends = Vec::with_capacity(k);
-    let mut s = ShareBlock::zeroed(n, k);
-    for (i, (addend, w)) in inputs.iter().enumerate() {
-        addends.push(*addend);
-        for (p, &word) in w.iter().enumerate().take(n) {
-            s.set(p, i, word);
-        }
-    }
-    let mut out = ShareBlock::zeroed(n, k);
-    add_public_block(mesh, dealer, &addends, &s, &mut out);
-    out.to_words()
-}
-
-/// Scalar reference implementation of [`add_public_many`]: the original
+/// Scalar reference implementation of [`add_public_block`]: the original
 /// per-gate kernel (clones a `SharedWord` per gate per layer), retained for
 /// the differential suite and `compare_bench`. An empty batch is free,
 /// matching the vectorized path.
@@ -408,6 +394,46 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
 
+    /// [`and_block`] over lane-major `(x, y)` word pairs.
+    fn and_words(
+        mesh: &mut Mesh,
+        dealer: &mut Dealer,
+        pairs: &[(SharedWord, SharedWord)],
+    ) -> Vec<SharedWord> {
+        let n = mesh.num_parties();
+        let (xs, ys): (Vec<SharedWord>, Vec<SharedWord>) = pairs.iter().cloned().unzip();
+        let mut out = ShareBlock::zeroed(n, pairs.len());
+        and_block(
+            mesh,
+            dealer,
+            &ShareBlock::from_words(n, &xs),
+            &ShareBlock::from_words(n, &ys),
+            &mut out,
+            &mut AndScratch::default(),
+        );
+        out.to_words()
+    }
+
+    /// [`add_public_block`] over lane-major `(addend, word)` inputs.
+    fn add_words(
+        mesh: &mut Mesh,
+        dealer: &mut Dealer,
+        inputs: &[(u64, SharedWord)],
+    ) -> Vec<SharedWord> {
+        let n = mesh.num_parties();
+        let (addends, words): (Vec<u64>, Vec<SharedWord>) = inputs.iter().cloned().unzip();
+        let mut out = ShareBlock::zeroed(n, inputs.len());
+        add_public_block(
+            mesh,
+            dealer,
+            &addends,
+            &ShareBlock::from_words(n, &words),
+            &mut out,
+            &mut AdderScratch::default(),
+        );
+        out.to_words()
+    }
+
     fn setup(n: usize) -> (Mesh, Dealer, ChaCha12Rng) {
         (
             Mesh::new(n),
@@ -425,7 +451,7 @@ mod tests {
                 let y: u64 = rng.gen();
                 let xs = xor_shares(&mut rng, n, x);
                 let ys = xor_shares(&mut rng, n, y);
-                let z = and_many(&mut mesh, &mut dealer, &[(xs, ys)]);
+                let z = and_words(&mut mesh, &mut dealer, &[(xs, ys)]);
                 assert_eq!(reconstruct_xor(&z[0]), x & y);
             }
         }
@@ -440,7 +466,7 @@ mod tests {
                 (xor_shares(&mut rng, 3, x), xor_shares(&mut rng, 3, y))
             })
             .collect();
-        and_many(&mut mesh, &mut dealer, &pairs);
+        and_words(&mut mesh, &mut dealer, &pairs);
         assert_eq!(mesh.stats().rounds, 1, "k gates must cost one round");
     }
 
@@ -516,9 +542,9 @@ mod tests {
         // empty input (and a zero-lane batch still paid rounds). All of
         // them now return empty output at zero cost.
         let (mut mesh, mut dealer, _) = setup(3);
-        assert!(and_many(&mut mesh, &mut dealer, &[]).is_empty());
+        assert!(and_words(&mut mesh, &mut dealer, &[]).is_empty());
         assert!(and_many_scalar(&mut mesh, &mut dealer, &[]).is_empty());
-        assert!(add_public_many(&mut mesh, &mut dealer, &[]).is_empty());
+        assert!(add_words(&mut mesh, &mut dealer, &[]).is_empty());
         assert!(add_public_many_scalar(&mut mesh, &mut dealer, &[]).is_empty());
         assert_eq!(mesh.stats().rounds, 0);
         assert_eq!(mesh.stats().bytes, 0);
@@ -539,7 +565,7 @@ mod tests {
                 .collect();
             let mut mesh_v = Mesh::new(n);
             let mut dealer_v = Dealer::new(n, 1000 + n as u64);
-            let vect = add_public_many(&mut mesh_v, &mut dealer_v, &inputs);
+            let vect = add_words(&mut mesh_v, &mut dealer_v, &inputs);
             let mut mesh_s = Mesh::new(n);
             let mut dealer_s = Dealer::new(n, 1000 + n as u64);
             let scal = add_public_many_scalar(&mut mesh_s, &mut dealer_s, &inputs);

@@ -1,7 +1,7 @@
 //! Flat struct-of-arrays lane buffers for the batched share kernels.
 //!
-//! The batched gates (`and_many`, `add_public_many`, `less_than_zero_many`)
-//! originally carried a `Vec<SharedWord>` — one heap vector per gate —
+//! The batched gates (`and_block`, `add_public_block`,
+//! `less_than_zero_many`) originally carried a `Vec<SharedWord>` — one heap vector per gate —
 //! and cloned them in every Kogge–Stone layer. A [`ShareBlock`] stores the
 //! same `k` lanes × `n` parties of share words in **one** contiguous
 //! party-major `Vec<u64>` slab (`data[p · lanes + i]` is party `p`'s share
@@ -23,7 +23,7 @@ use crate::binary::SharedWord;
 
 /// `k` lanes of XOR- (or additively-) shared 64-bit words for `n` parties,
 /// stored as one contiguous party-major slab.
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct ShareBlock {
     parties: usize,
     lanes: usize,
@@ -50,6 +50,23 @@ impl ShareBlock {
             lanes,
             data: vec![0u64; parties * lanes],
         }
+    }
+
+    /// Reshapes the block to `parties × lanes` and zeroes it, reusing the
+    /// allocation: how kernel scratch blocks are recycled across calls.
+    pub(crate) fn reset(&mut self, parties: usize, lanes: usize) {
+        self.parties = parties;
+        self.lanes = lanes;
+        self.data.clear();
+        self.data.resize(parties * lanes, 0);
+    }
+
+    /// Makes the block a copy of `src`, reusing the allocation.
+    pub(crate) fn copy_from(&mut self, src: &ShareBlock) {
+        self.parties = src.parties;
+        self.lanes = src.lanes;
+        self.data.clear();
+        self.data.extend_from_slice(&src.data);
     }
 
     /// Packs legacy per-gate shared words (lane-major) into a block.
@@ -210,6 +227,14 @@ mod tests {
         blk.set(0, 1, 5);
         assert_eq!(blk.party(0), &[0, 5, 0]);
         assert_eq!(blk.party(1), &[7, 8, 9]);
+    }
+
+    #[test]
+    fn reset_reshapes_and_zeroes_in_place() {
+        let mut blk = ShareBlock::from_words(2, &[vec![1, 2], vec![3, 4]]);
+        blk.reset(3, 1);
+        assert_eq!((blk.parties(), blk.lanes()), (3, 1));
+        assert_eq!(blk.to_words(), vec![vec![0, 0, 0]]);
     }
 
     #[test]

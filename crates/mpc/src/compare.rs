@@ -15,8 +15,9 @@
 //! 1 bit open), 1 edaBit, 12 triple words.
 //!
 //! The batched kernel runs on flat party-major buffers end to end
-//! (edaBit block, flat masked-open payload, [`add_public_block`], flat bit
-//! open); [`less_than_zero_many_scalar`] retains the original per-gate
+//! (shared differences as a [`ShareBlock`], edaBit block, flat masked-open
+//! payload, [`add_public_block`], flat bit open), all held in a reusable
+//! [`CompareScratch`]; [`less_than_zero_many_scalar`] retains the original per-gate
 //! implementation as the differential/benchmark reference.
 
 // Protocol hot path: a malformed message must become a typed error,
@@ -24,7 +25,8 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::binary::{
-    add_public_block, add_public_many_scalar, xor_public, ADDER_ROUNDS, ADDER_TRIPLE_WORDS,
+    add_public_block, add_public_many_scalar, xor_public, AdderScratch, ADDER_ROUNDS,
+    ADDER_TRIPLE_WORDS,
 };
 use crate::block::ShareBlock;
 use crate::dealer::DealSource;
@@ -49,90 +51,115 @@ pub fn less_than_zero(
     d_shares: &[u64],
     opened_mask: Option<&mut Vec<u64>>,
 ) -> Result<bool, ProtocolError> {
-    less_than_zero_many(mesh, dealer, &[d_shares.to_vec()], opened_mask)?
-        .pop()
-        .ok_or(ProtocolError::MissingOutput)
+    let d = ShareBlock::from_words(d_shares.len(), &[d_shares.to_vec()]);
+    less_than_zero_many(
+        mesh,
+        dealer,
+        &d,
+        opened_mask,
+        &mut CompareScratch::default(),
+    )?
+    .pop()
+    .ok_or(ProtocolError::MissingOutput)
+}
+
+/// Reusable buffers for [`less_than_zero_many`]: the open payloads, the
+/// opened values, the sum bits and the adder's scratch. The caller owns
+/// one and passes it to every call (each `SacEngine` keeps its own), so a
+/// comparison allocates only its result bits and the dealer's blocks.
+#[derive(Default)]
+pub struct CompareScratch {
+    payload: Vec<u64>,
+    opened: Vec<u64>,
+    d_bits: ShareBlock,
+    adder: AdderScratch,
 }
 
 /// Batched variant of [`less_than_zero`]: `k` independent sign tests share
 /// the protocol rounds — still [`COMPARE_ROUNDS`] rounds total, with `k×`
 /// the payload per round. This is MP-SPDZ-style vectorization and the
-/// engine of the round-batched priority-queue extension.
+/// engine of the round-batched priority-queue extension. Lane `i` of `d`
+/// additively shares the `i`-th difference.
 ///
 /// An empty batch returns `Ok(vec![])` at zero cost, agreeing with
-/// `add_public_many` (the kernels used to disagree; regression-tested).
+/// [`add_public_block`] (the kernels used to disagree; regression-tested).
 /// Callers that consider an empty batch a caller bug keep rejecting it at
 /// their own boundary (`SacEngine::less_than_many` returns
 /// [`ProtocolError::EmptyBatch`]).
 pub fn less_than_zero_many(
     mesh: &mut Mesh,
     dealer: &mut impl DealSource,
-    d_shares_list: &[Vec<u64>],
+    d: &ShareBlock,
     opened_mask: Option<&mut Vec<u64>>,
+    scratch: &mut CompareScratch,
 ) -> Result<Vec<bool>, ProtocolError> {
     let n = mesh.num_parties();
-    let k = d_shares_list.len();
+    let k = d.lanes();
     if k == 0 {
         return Ok(Vec::new());
     }
-    if let Some(d) = d_shares_list.iter().find(|d| d.len() != n) {
+    if d.parties() != n {
         return Err(ProtocolError::WrongSiloCount {
             expected: n,
-            got: d.len(),
+            got: d.parties(),
         });
     }
+    let CompareScratch {
+        payload,
+        opened,
+        d_bits,
+        adder,
+    } = scratch;
     let eda = dealer.edabit_block(k);
 
     // Step 2: open all masked differences in one round, the payload built
     // flat and party-major straight from the edaBit slab.
-    let mut payload = vec![0u64; n * k];
+    payload.clear();
+    payload.resize(n * k, 0);
     for p in 0..n {
-        let ar = eda.arith.party(p);
+        let (dr, ar) = (d.party(p), eda.arith.party(p));
         let row = &mut payload[p * k..(p + 1) * k];
-        for (i, d) in d_shares_list.iter().enumerate() {
-            row[i] = d[p].wrapping_add(ar[i]);
+        for i in 0..k {
+            row[i] = dr[i].wrapping_add(ar[i]);
         }
     }
-    mesh.broadcast_flat(MsgKind::MaskedOpen, &payload, k);
-    let mut ms = vec![0u64; k];
+    mesh.broadcast_flat(MsgKind::MaskedOpen, payload, k);
+    opened.clear();
+    opened.resize(k, 0);
     for p in 0..n {
         let row = &payload[p * k..(p + 1) * k];
-        for (m, &w) in ms.iter_mut().zip(row) {
+        for (m, &w) in opened.iter_mut().zip(row) {
             *m = m.wrapping_add(w);
         }
     }
     if let Some(log) = opened_mask {
-        log.extend(&ms);
+        log.extend_from_slice(opened);
     }
 
     // Step 3: d = m − r = (m + 1) + ¬r (mod 2⁶⁴), all adders sharing
     // rounds. ¬r is local: party 0 flips its bit shares.
-    let addends: Vec<u64> = ms.iter().map(|m| m.wrapping_add(1)).collect();
+    for m in opened.iter_mut() {
+        *m = m.wrapping_add(1);
+    }
     let mut not_r = eda.bits;
     for v in not_r.party_mut(0) {
         *v = !*v;
     }
-    let mut d_bits = ShareBlock::zeroed(n, k);
-    add_public_block(mesh, dealer, &addends, &not_r, &mut d_bits);
+    d_bits.reset(n, k);
+    add_public_block(mesh, dealer, opened, &not_r, d_bits, adder);
 
     // Step 4: open only the sign bits, packed into one round.
-    let mut bit_payload = vec![0u64; n * k];
     for p in 0..n {
         let br = d_bits.party(p);
-        let row = &mut bit_payload[p * k..(p + 1) * k];
+        let row = &mut payload[p * k..(p + 1) * k];
         for i in 0..k {
             row[i] = (br[i] >> 63) & 1;
         }
     }
-    mesh.broadcast_flat(MsgKind::BitOpen, &bit_payload, k);
-    let mut bits = vec![0u64; k];
-    for p in 0..n {
-        let row = &bit_payload[p * k..(p + 1) * k];
-        for (b, &w) in bits.iter_mut().zip(row) {
-            *b ^= w;
-        }
-    }
-    Ok(bits.into_iter().map(|b| b == 1).collect())
+    mesh.broadcast_flat(MsgKind::BitOpen, payload, k);
+    Ok((0..k)
+        .map(|i| (0..n).fold(0u64, |acc, p| acc ^ payload[p * k + i]) == 1)
+        .collect())
 }
 
 /// Scalar reference implementation of [`less_than_zero_many`]: the original
@@ -298,14 +325,20 @@ mod tests {
 
     #[test]
     fn empty_batch_is_free_and_agrees_with_the_adder_kernels() {
-        // Satellite regression: this used to be ProtocolError::EmptyBatch
-        // while add_public_many([]) silently returned [] — the batched
+        // Regression: this used to be ProtocolError::EmptyBatch while the
+        // adder silently returned [] on an empty batch — the batched
         // kernels now agree (empty in, empty out, zero cost). The engine
         // boundary still rejects empty Fed-SAC batches as a typed error.
         let mut mesh = Mesh::new(3);
         let mut dealer = Dealer::new(3, 2);
         assert_eq!(
-            less_than_zero_many(&mut mesh, &mut dealer, &[], None),
+            less_than_zero_many(
+                &mut mesh,
+                &mut dealer,
+                &ShareBlock::zeroed(3, 0),
+                None,
+                &mut CompareScratch::default()
+            ),
             Ok(Vec::new())
         );
         assert_eq!(

@@ -18,12 +18,16 @@
 // never a panic (see fedroad-lint rule `no-panic-hot-path`).
 #![deny(clippy::unwrap_used)]
 
-use crate::compare::{account_less_than_zero_many, less_than_zero_many, COMPARE_ROUNDS};
-use crate::dealer::{additive_shares, DealSource, Dealer, DealerStats, EdaBit, TripleWord};
+use crate::block::ShareBlock;
+use crate::compare::{
+    account_less_than_zero_many, less_than_zero_many, CompareScratch, COMPARE_ROUNDS,
+};
+use crate::dealer::{DealSource, Dealer, DealerStats, EdaBit, TripleWord};
+use crate::duels::{validate, Duels};
 use crate::error::ProtocolError;
 use crate::net::{Mesh, MsgKind, NetStats, NetworkModel};
 use crate::pool::{PoolConfig, PoolStats, PooledDealer};
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
 /// Execution backend of a [`SacEngine`].
@@ -154,6 +158,23 @@ impl DealSource for EngineDealer {
     }
 }
 
+/// Buffers a `Real` execution works in, kept by the engine across calls
+/// so a batch-1 Fed-SAC allocates only its result bits and the dealer's
+/// blocks.
+#[derive(Default)]
+struct Scratch {
+    /// Party-major shares of the differences `d_i = Σa_i − Σb_i`.
+    d: ShareBlock,
+    compare: CompareScratch,
+}
+
+// Redacted: prints the batch width only, never share words.
+impl std::fmt::Debug for Scratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "Scratch(<redacted, {} lanes>)", self.d.lanes())
+    }
+}
+
 /// The Fed-SAC engine owned by a federation: `P` lockstep parties, a mesh
 /// network, and a preprocessing dealer.
 #[derive(Debug)]
@@ -170,6 +191,7 @@ pub struct SacEngine {
     /// never go negative however engines are reused across queries.
     baseline: SacStats,
     transcript: Option<Transcript>,
+    scratch: Scratch,
 }
 
 impl SacEngine {
@@ -218,6 +240,7 @@ impl SacEngine {
             batches: 0,
             baseline: SacStats::default(),
             transcript: None,
+            scratch: Scratch::default(),
         }
     }
 
@@ -305,28 +328,17 @@ impl SacEngine {
     /// shared protocol rounds (still [`FEDSAC_ROUNDS`] total) — MP-SPDZ
     /// style vectorization. Each invocation still counts toward
     /// `invocations`; the round/latency savings show up in `net.rounds`.
-    pub fn less_than_many(
+    /// `duels` is any [`Duels`] batch: nested pairs or a flat
+    /// [`DuelBuf`](crate::duels::DuelBuf), read in place.
+    pub fn less_than_many<D: Duels + ?Sized>(
         &mut self,
-        pairs: &[(Vec<u64>, Vec<u64>)],
+        duels: &D,
     ) -> Result<Vec<bool>, ProtocolError> {
-        let n = self.num_parties();
-        let k = pairs.len();
+        let k = duels.count();
         if k == 0 {
             return Err(ProtocolError::EmptyBatch);
         }
-        for (a, b) in pairs {
-            for side in [a, b] {
-                if side.len() != n {
-                    return Err(ProtocolError::WrongSiloCount {
-                        expected: n,
-                        got: side.len(),
-                    });
-                }
-            }
-            if let Some(&value) = a.iter().chain(b).find(|&&v| v >= 1 << 54) {
-                return Err(ProtocolError::CostOutOfRange { value });
-            }
-        }
+        validate(duels, self.num_parties())?;
         self.invocations += k as u64;
         self.batches += 1;
 
@@ -343,12 +355,14 @@ impl SacEngine {
         });
 
         let outcome = match self.backend {
-            SacBackend::Real => self.less_than_many_real(pairs),
+            SacBackend::Real => self.less_than_many_real(duels),
             SacBackend::Modeled => {
                 // Identical observable results…
-                let results = pairs
-                    .iter()
-                    .map(|(a, b)| a.iter().sum::<u64>() < b.iter().sum::<u64>())
+                let results = (0..k)
+                    .map(|i| {
+                        let (a, b) = duels.duel(i);
+                        a.iter().sum::<u64>() < b.iter().sum::<u64>()
+                    })
                     .collect();
                 // …and identical cost accounting.
                 self.mesh.account_scatter(MsgKind::InputShare, 2 * k);
@@ -384,52 +398,51 @@ impl SacEngine {
         Ok(results)
     }
 
-    fn less_than_many_real(
+    fn less_than_many_real<D: Duels + ?Sized>(
         &mut self,
-        pairs: &[(Vec<u64>, Vec<u64>)],
+        duels: &D,
     ) -> Result<Vec<bool>, ProtocolError> {
         let n = self.num_parties();
-        let k = pairs.len();
-        // Round 1: every party additively shares all its inputs;
-        // msgs[p][q] = [a0_share, b0_share, a1_share, b1_share, …].
-        let msgs: Vec<Vec<Vec<u64>>> = (0..n)
-            .map(|p| {
-                let shares: Vec<(Vec<u64>, Vec<u64>)> = pairs
-                    .iter()
-                    .map(|(a, b)| {
-                        (
-                            additive_shares(&mut self.rngs[p], n, a[p]),
-                            additive_shares(&mut self.rngs[p], n, b[p]),
-                        )
-                    })
-                    .collect();
-                (0..n)
-                    .map(|q| shares.iter().flat_map(|(sa, sb)| [sa[q], sb[q]]).collect())
-                    .collect()
-            })
-            .collect();
-        let recv = self.mesh.scatter_words(MsgKind::InputShare, &msgs);
-
-        // Local: fold into shares of d_i = Σa_i − Σb_i per comparison.
-        let d_shares_list: Vec<Vec<u64>> = (0..k)
-            .map(|i| {
-                (0..n)
-                    .map(|q| {
-                        let a_q = recv[q]
-                            .iter()
-                            .fold(0u64, |acc, w| acc.wrapping_add(w[2 * i]));
-                        let b_q = recv[q]
-                            .iter()
-                            .fold(0u64, |acc, w| acc.wrapping_add(w[2 * i + 1]));
-                        a_q.wrapping_sub(b_q)
-                    })
-                    .collect()
-            })
-            .collect();
+        let k = duels.count();
+        // Round 1: every party additively shares each of its inputs —
+        // duel by duel, path A before path B, `P − 1` draws from its own
+        // RNG apiece — and sends share `q` to party `q`, who folds it
+        // straight into its share of `d_i = Σa_i − Σb_i` (lane `i`).
+        let Scratch { d, compare } = &mut self.scratch;
+        d.reset(n, k);
+        for (p, rng) in self.rngs.iter_mut().enumerate() {
+            for i in 0..k {
+                let (a, b) = duels.duel(i);
+                fold_sharing(rng, a[p], d, i, u64::wrapping_add);
+                fold_sharing(rng, b[p], d, i, u64::wrapping_sub);
+            }
+        }
+        self.mesh.account_scatter(MsgKind::InputShare, 2 * k);
 
         let opened_log = self.transcript.as_mut().map(|t| &mut t.masked_opens);
-        less_than_zero_many(&mut self.mesh, &mut self.dealer, &d_shares_list, opened_log)
+        less_than_zero_many(&mut self.mesh, &mut self.dealer, d, opened_log, compare)
     }
+}
+
+/// Splits `value` into fresh additive shares — `P − 1` draws from `rng`,
+/// the last share fixing the sum, in the order of
+/// [`additive_shares`](crate::dealer::additive_shares) — and folds share
+/// `q` into party `q`'s word of lane `lane` of `d` with `fold`.
+fn fold_sharing(
+    rng: &mut ChaCha12Rng,
+    value: u64,
+    d: &mut ShareBlock,
+    lane: usize,
+    fold: fn(u64, u64) -> u64,
+) {
+    let last = d.parties() - 1;
+    let mut rest = value;
+    for q in 0..last {
+        let share: u64 = rng.gen();
+        rest = rest.wrapping_sub(share);
+        d.set(q, lane, fold(d.get(q, lane), share));
+    }
+    d.set(last, lane, fold(d.get(last, lane), rest));
 }
 
 impl SacEngine {
@@ -659,6 +672,92 @@ mod tests {
         // A failed call must not account any traffic or invocations.
         assert_eq!(eng.stats().invocations, 0);
         assert_eq!(eng.stats().net.rounds, 0);
+    }
+
+    #[test]
+    fn flat_input_sharing_reproduces_the_golden_transcript() {
+        // Captured from the nested-`Vec` input sharing this kernel
+        // replaced: 3 parties, engine seed 2024, batches of 1, 2 and 7
+        // duels. Masked opens and bits pin the comparison; the last
+        // batch's d-shares and each party's next RNG word pin the
+        // per-party draw order bit for bit.
+        const OPENS: [u64; 10] = [
+            18097864130231201564,
+            8479594784090368310,
+            567400744096768551,
+            10953953508791757706,
+            3956886955059130173,
+            6289767640713437390,
+            12244557805372493067,
+            1064027783825994651,
+            15963551611850143350,
+            2851925611830971213,
+        ];
+        const BITS: [bool; 10] = [
+            false, true, false, true, true, true, false, false, false, true,
+        ];
+        const D: [[u64; 3]; 7] = [
+            [
+                1849063681097547849,
+                4749170354454529559,
+                11848509757145806458,
+            ],
+            [
+                15435035305884900581,
+                8053249095313229498,
+                13405202878161718216,
+            ],
+            [
+                12643819324895013701,
+                5340123158360323518,
+                462801127715096585,
+            ],
+            [
+                17442296800145040537,
+                17577915736615188833,
+                1873276720860155594,
+            ],
+            [
+                14401813202612914058,
+                16862290758889419204,
+                5629384995311264160,
+            ],
+            [
+                10543727850236603959,
+                3531101238685708581,
+                4371915047654870642,
+            ],
+            [
+                160586978022041883,
+                1081144356535200558,
+                17205011802153206060,
+            ],
+        ];
+        const NEXT: [u64; 3] = [
+            11085432042699841975,
+            1105800171160942987,
+            11526618714438031644,
+        ];
+        let mut rng = ChaCha12Rng::seed_from_u64(0x601D);
+        let mut eng = SacEngine::new(3, SacBackend::Real, 2024);
+        eng.enable_transcript();
+        for k in [1usize, 2, 7] {
+            let pairs: Vec<(Vec<u64>, Vec<u64>)> = (0..k)
+                .map(|_| {
+                    (
+                        (0..3).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
+                        (0..3).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
+                    )
+                })
+                .collect();
+            eng.less_than_many(&pairs).unwrap();
+        }
+        let t = eng.transcript().unwrap();
+        assert_eq!(t.masked_opens, OPENS);
+        assert_eq!(t.revealed_bits, BITS);
+        assert_eq!(eng.scratch.d.to_words(), D.map(Vec::from));
+        let next = eng.rngs.iter_mut().map(|r| r.gen::<u64>());
+        assert_eq!(next.collect::<Vec<u64>>(), NEXT);
     }
 
     #[test]

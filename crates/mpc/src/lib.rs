@@ -19,6 +19,8 @@
 //!   pools that move dealing off the online critical path.
 //! * [`binary`] — XOR-shared word gates; Beaver AND; a Kogge–Stone adder.
 //! * [`compare`] — masked-opening sign extraction (`8` online rounds).
+//! * [`duels`] — Fed-SAC input batches: the [`Duels`] read trait and the
+//!   flat, reusable [`DuelBuf`].
 //! * [`fedsac`] — the [`SacEngine`] with `Real` and
 //!   `Modeled` backends producing identical results *and* identical cost
 //!   statistics (pinned by tests).
@@ -52,6 +54,7 @@ pub mod binary;
 pub mod block;
 pub mod compare;
 pub mod dealer;
+pub mod duels;
 pub mod error;
 pub mod fedsac;
 pub mod mac;
@@ -66,6 +69,7 @@ pub use audit::{
 };
 pub use block::{EdaBitBlock, ShareBlock, TripleBlock};
 pub use dealer::DealSource;
+pub use duels::{DuelBuf, Duels};
 pub use error::ProtocolError;
 pub use fedsac::{SacBackend, SacEngine, SacStats, Transcript, FEDSAC_ROUNDS};
 pub use net::{Mesh, MsgKind, NetStats, NetworkModel, PartyId};

@@ -157,18 +157,6 @@ impl Mesh {
         self.account_broadcast(kind, lanes);
     }
 
-    /// One synchronous round of point-to-point sends: party `p` sends
-    /// `msgs[p][q]` to party `q` (entry `msgs[p][p]` stays local and is not
-    /// counted as traffic). Returns `received[q][p]` = what `p` sent to `q`.
-    pub fn scatter_words(&mut self, kind: MsgKind, msgs: &[Vec<Vec<u64>>]) -> Vec<Vec<Vec<u64>>> {
-        assert_eq!(msgs.len(), self.n);
-        let word_len = msgs[0][0].len();
-        self.account_scatter(kind, word_len);
-        (0..self.n)
-            .map(|q| (0..self.n).map(|p| msgs[p][q].clone()).collect())
-            .collect()
-    }
-
     /// Accounts the costs of a broadcast round without materializing
     /// payloads — used by the `Modeled` Fed-SAC backend, which must produce
     /// byte-for-byte identical statistics to the `Real` backend.
@@ -253,19 +241,6 @@ mod tests {
         assert_eq!(s.messages, 6);
         assert_eq!(s.bytes, 6 * 8);
         assert_eq!(s.per_party_bytes, 2 * 8);
-    }
-
-    #[test]
-    fn scatter_routes_point_to_point() {
-        let mut mesh = Mesh::new(2);
-        // p sends msgs[p][q] to q.
-        let msgs = vec![
-            vec![vec![0u64], vec![1]], // party 0: keeps 0, sends 1 to party 1
-            vec![vec![2u64], vec![3]], // party 1: sends 2 to party 0, keeps 3
-        ];
-        let recv = mesh.scatter_words(MsgKind::InputShare, &msgs);
-        assert_eq!(recv[0], vec![vec![0u64], vec![2]]);
-        assert_eq!(recv[1], vec![vec![1u64], vec![3]]);
     }
 
     #[test]

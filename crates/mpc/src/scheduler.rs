@@ -21,6 +21,20 @@
 //! [`crate::threaded`]), and distributes each request's slice of the
 //! revealed bits back to its ticket.
 //!
+//! Requests queue back to back in one flat [`DuelBuf`]; the leader swaps
+//! it out whole and hands it to the backend as is, so no request's costs
+//! are copied after submission.
+//!
+//! ## Spin-then-park
+//!
+//! A merged round at batch 1–2 takes tens of microseconds, about what a
+//! futex sleep and wake-up pair costs. A waiter therefore spins on the
+//! scheduler's generation counter for a short fixed budget before it parks
+//! on the condvar; see [`SacSession::wait`] for why no wake-up is lost.
+//! Each spin iteration yields the core: with more sessions than cores, a
+//! busy-spinning waiter would hold the core of the very session it waits
+//! for.
+//!
 //! ## Liveness contract
 //!
 //! Every registered session must eventually either submit a request or
@@ -42,20 +56,20 @@
 #![deny(clippy::unwrap_used)]
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
+use crate::duels::{validate, DuelBuf, Duels};
 use crate::error::ProtocolError;
 use crate::fedsac::{SacEngine, SacStats};
 use crate::threaded::run_comparisons;
 
-/// Partial-cost pairs of one comparison request: for each duel, the
-/// per-silo costs of path A and path B.
-pub type DuelPairs = Vec<(Vec<u64>, Vec<u64>)>;
-
-/// Costs must stay below 2⁵⁴ so cross-silo sums remain exact (mirrors the
-/// engine-side bound; checked here so a malformed request fails alone
-/// instead of poisoning the whole merged round).
-const MAX_COST_EXCLUSIVE: u64 = 1 << 54;
+/// How long a waiter spins on the generation counter, lock released,
+/// before it parks on the condvar: long enough to cover a merged round at
+/// batch 1–2 and a partner's next submission, short enough that a waiter
+/// whose partner is busy elsewhere soon stops polling.
+const SPIN_BUDGET: Duration = Duration::from_micros(200);
 
 /// Aggregate counters of a [`BatchScheduler`] — how much cross-query
 /// coalescing actually happened.
@@ -86,11 +100,12 @@ impl SchedulerStats {
     }
 }
 
-/// One submitted-but-unexecuted comparison request.
+/// One submitted-but-unexecuted comparison request; its duels sit in
+/// [`State::pending_duels`], in queue order.
 struct PendingRequest {
     ticket: u64,
     session: u64,
-    pairs: DuelPairs,
+    duels: usize,
 }
 
 /// Shared mutable scheduler state, guarded by one mutex.
@@ -104,6 +119,12 @@ struct State {
     unresolved: HashMap<u64, usize>,
     /// Submission queue, drained whole by the round leader.
     pending: Vec<PendingRequest>,
+    /// The queued requests' duels, back to back.
+    pending_duels: DuelBuf,
+    /// The last round's emptied queue buffers, swapped in by the next
+    /// leader so the queue keeps its allocations from round to round.
+    spare_requests: Vec<PendingRequest>,
+    spare_duels: DuelBuf,
     /// Completed results keyed by ticket, removed on `wait`.
     done: HashMap<u64, Result<Vec<bool>, ProtocolError>>,
     /// A leader is executing a round outside the lock.
@@ -134,8 +155,13 @@ enum RoundBackend {
 /// requests from many in-flight queries into shared protocol executions.
 pub struct BatchScheduler {
     backend: RoundBackend,
+    /// Silo count every request must match.
+    parties: usize,
     state: Mutex<State>,
     wakeup: Condvar,
+    /// Bumped, under the state lock, at every state change a waiter may
+    /// be waiting for; spinning waiters watch it instead of the condvar.
+    generation: AtomicU64,
 }
 
 /// Recovers a poisoned guard: scheduler state holds only counters and
@@ -156,32 +182,45 @@ fn publish_gauges(st: &State) {
 impl BatchScheduler {
     /// Scheduler executing merged rounds on a lockstep engine.
     pub fn lockstep(engine: SacEngine) -> Self {
-        BatchScheduler {
-            backend: RoundBackend::Lockstep(Box::new(Mutex::new(engine))),
-            state: Mutex::new(State::default()),
-            wakeup: Condvar::new(),
-        }
+        let parties = engine.num_parties();
+        Self::with_backend(
+            RoundBackend::Lockstep(Box::new(Mutex::new(engine))),
+            parties,
+        )
     }
 
     /// Scheduler executing merged rounds on the threaded per-party runner,
     /// reusing the machinery in [`crate::threaded`].
     pub fn threaded(num_parties: usize, seed: u64) -> Self {
+        Self::with_backend(RoundBackend::Threaded { num_parties, seed }, num_parties)
+    }
+
+    fn with_backend(backend: RoundBackend, parties: usize) -> Self {
         BatchScheduler {
-            backend: RoundBackend::Threaded { num_parties, seed },
-            state: Mutex::new(State::default()),
+            backend,
+            parties,
+            state: Mutex::new(State {
+                pending_duels: DuelBuf::new(parties),
+                spare_duels: DuelBuf::new(parties),
+                ..State::default()
+            }),
             wakeup: Condvar::new(),
+            generation: AtomicU64::new(0),
         }
     }
 
     /// Silo count every request must match.
     pub fn num_parties(&self) -> usize {
-        match &self.backend {
-            RoundBackend::Lockstep(engine) => engine
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .num_parties(),
-            RoundBackend::Threaded { num_parties, .. } => *num_parties,
-        }
+        self.parties
+    }
+
+    /// Publishes a state change: bumps the generation for spinning
+    /// waiters and wakes parked ones. Takes the guard to prove the state
+    /// lock is held, which the no-lost-wake-up argument in
+    /// [`SacSession::wait`] rests on.
+    fn notify(&self, _held: &MutexGuard<'_, State>) {
+        self.generation.fetch_add(1, Ordering::Release);
+        self.wakeup.notify_all();
     }
 
     /// Snapshot of the coalescing counters.
@@ -232,32 +271,11 @@ impl BatchScheduler {
         }
     }
 
-    /// Validates one request against the shared protocol bounds so a
-    /// malformed request fails *individually* (attributable to its ticket)
-    /// instead of failing the whole merged round it would have joined.
-    fn prevalidate(&self, pairs: &[(Vec<u64>, Vec<u64>)]) -> Result<(), ProtocolError> {
-        let parties = self.num_parties();
-        for (a, b) in pairs {
-            for side in [a, b] {
-                if side.len() != parties {
-                    return Err(ProtocolError::WrongSiloCount {
-                        expected: parties,
-                        got: side.len(),
-                    });
-                }
-                if let Some(&value) = side.iter().find(|&&v| v >= MAX_COST_EXCLUSIVE) {
-                    return Err(ProtocolError::CostOutOfRange { value });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Executes one merged round over `merged` duels. Runs *outside* the
     /// state lock; exclusivity comes from the `round_in_flight` flag.
     fn execute_round(
         &self,
-        merged: &[(Vec<u64>, Vec<u64>)],
+        merged: &DuelBuf,
         round_index: u64,
     ) -> Result<Vec<bool>, ProtocolError> {
         match &self.backend {
@@ -269,7 +287,11 @@ impl BatchScheduler {
                 // Deterministic per-round seed: replaying the same request
                 // schedule replays identical protocol randomness. Result
                 // bits are value-determined either way (pinned by tests).
-                run_comparisons(*num_parties, merged, seed.wrapping_add(round_index))
+                run_comparisons(
+                    *num_parties,
+                    &merged.to_pairs(),
+                    seed.wrapping_add(round_index),
+                )
             }
         }
     }
@@ -279,14 +301,16 @@ impl BatchScheduler {
     /// the state lock held; returns with it re-acquired.
     fn fire_round<'a>(&'a self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
         st.round_in_flight = true;
-        let requests: Vec<PendingRequest> = std::mem::take(&mut st.pending);
         let round_index = st.stats.rounds;
+        // Take the queue whole, leaving the spare (empty) buffers in its
+        // place for the submissions that arrive during the round.
+        let queue = &mut *st;
+        std::mem::swap(&mut queue.pending, &mut queue.spare_requests);
+        std::mem::swap(&mut queue.pending_duels, &mut queue.spare_duels);
+        let mut requests = std::mem::take(&mut queue.spare_requests);
+        let mut merged = std::mem::replace(&mut queue.spare_duels, DuelBuf::new(self.parties));
         drop(st);
 
-        let merged: DuelPairs = requests
-            .iter()
-            .flat_map(|r| r.pairs.iter().cloned())
-            .collect();
         // Only shape-level quantities reach observability: request/duel
         // counts, never the partial costs themselves. `is_active` (not
         // `is_enabled`) so the flight recorder captures round spans even
@@ -300,7 +324,7 @@ impl BatchScheduler {
                         "requests",
                         fedroad_obs::ObsValue::Count(requests.len() as u64),
                     ),
-                    ("duels", fedroad_obs::ObsValue::Count(merged.len() as u64)),
+                    ("duels", fedroad_obs::ObsValue::Count(merged.count() as u64)),
                 ],
             );
         }
@@ -315,7 +339,7 @@ impl BatchScheduler {
             fedroad_obs::counter_add("sched.rounds", 1);
             fedroad_obs::counter_add("sched.coalesced_requests", requests.len() as u64);
             fedroad_obs::hist_record("sched.batch_width", requests.len() as u64);
-            fedroad_obs::hist_record("sched.duels_per_round", merged.len() as u64);
+            fedroad_obs::hist_record("sched.duels_per_round", merged.count() as u64);
             fedroad_obs::span_end(
                 "sched.round",
                 &[
@@ -323,7 +347,7 @@ impl BatchScheduler {
                         "requests",
                         fedroad_obs::ObsValue::Count(requests.len() as u64),
                     ),
-                    ("duels", fedroad_obs::ObsValue::Count(merged.len() as u64)),
+                    ("duels", fedroad_obs::ObsValue::Count(merged.count() as u64)),
                 ],
             );
         }
@@ -331,7 +355,7 @@ impl BatchScheduler {
         let mut st = lock_state(&self.state);
         st.stats.rounds += 1;
         st.stats.coalesced_requests += requests.len() as u64;
-        st.stats.coalesced_duels += merged.len() as u64;
+        st.stats.coalesced_duels += merged.count() as u64;
         st.stats.max_requests_per_round =
             st.stats.max_requests_per_round.max(requests.len() as u64);
 
@@ -339,7 +363,7 @@ impl BatchScheduler {
             Ok(bits) => {
                 let mut offset = 0;
                 for req in &requests {
-                    let next = offset + req.pairs.len();
+                    let next = offset + req.duels;
                     let slice = bits.get(offset..next).map(<[bool]>::to_vec);
                     // A protocol execution returning fewer bits than duels
                     // would be an engine invariant violation; surface it as
@@ -360,9 +384,13 @@ impl BatchScheduler {
         for req in &requests {
             Self::resolve_one(&mut st, req.session);
         }
+        requests.clear();
+        merged.clear();
+        st.spare_requests = requests;
+        st.spare_duels = merged;
         st.round_in_flight = false;
         publish_gauges(&st);
-        self.wakeup.notify_all();
+        self.notify(&st);
         st
     }
 
@@ -404,19 +432,23 @@ impl SacSession<'_> {
     }
 
     /// Submits a batch of duels without blocking. The request joins the
-    /// next merged round; redeem the ticket with [`Self::wait`].
+    /// next merged round; redeem the ticket with [`Self::wait`]. The duels
+    /// are copied once, into the scheduler's flat queue.
     ///
     /// Malformed requests (silo-count or 2⁵⁴-range violations) and empty
     /// batches resolve immediately — they never occupy a protocol round
     /// and never fail other queries' requests. An empty batch resolves to
     /// `Ok(vec![])`, mirroring
     /// [`run_comparisons`](crate::threaded::run_comparisons) on no input.
-    pub fn submit(&self, pairs: &[(Vec<u64>, Vec<u64>)]) -> DuelTicket {
+    pub fn submit<D: Duels + ?Sized>(&self, duels: &D) -> DuelTicket {
         let sched = self.scheduler;
-        let immediate: Option<Result<Vec<bool>, ProtocolError>> = if pairs.is_empty() {
+        let count = duels.count();
+        // Validated here, outside the lock, so a malformed request fails
+        // alone instead of failing the whole merged round it would join.
+        let immediate: Option<Result<Vec<bool>, ProtocolError>> = if count == 0 {
             Some(Ok(Vec::new()))
         } else {
-            sched.prevalidate(pairs).err().map(Err)
+            validate(duels, sched.parties).err().map(Err)
         };
 
         let mut st = lock_state(&sched.state);
@@ -427,10 +459,11 @@ impl SacSession<'_> {
                 st.done.insert(ticket, result);
             }
             None => {
+                st.pending_duels.extend_from(duels);
                 st.pending.push(PendingRequest {
                     ticket,
                     session: self.id,
-                    pairs: pairs.to_vec(),
+                    duels: count,
                 });
                 let count = st.unresolved.entry(self.id).or_insert(0);
                 *count += 1;
@@ -440,7 +473,7 @@ impl SacSession<'_> {
                 publish_gauges(&st);
                 // The barrier may have just completed: wake waiters so one
                 // of them can lead the round.
-                sched.wakeup.notify_all();
+                sched.notify(&st);
             }
         }
         DuelTicket(ticket)
@@ -449,6 +482,15 @@ impl SacSession<'_> {
     /// Blocks until the ticket's request has executed and returns its
     /// comparison bits. The caller may be elected round leader while
     /// waiting (it then executes the merged protocol round itself).
+    ///
+    /// Between checks the waiter spins, lock released, until the
+    /// scheduler's generation moves or [`SPIN_BUDGET`] runs out, then
+    /// re-locks and parks on the condvar only if the generation still
+    /// holds the value it read under the lock. No wake-up is lost: every
+    /// state change bumps the generation under the lock before notifying,
+    /// so an unchanged generation seen under the lock means no change
+    /// since the last check, and the condvar wait releases the lock
+    /// atomically, before any later change can notify.
     pub fn wait(&self, ticket: DuelTicket) -> Result<Vec<bool>, ProtocolError> {
         let sched = self.scheduler;
         // Barrier wait time: from entering `wait` until the result is in
@@ -474,16 +516,30 @@ impl SacSession<'_> {
                 st = sched.fire_round(st);
                 continue;
             }
-            st = sched
-                .wakeup
-                .wait(st)
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let seen = sched.generation.load(Ordering::Acquire);
+            drop(st);
+            let spin_start = Instant::now();
+            while sched.generation.load(Ordering::Acquire) == seen
+                && spin_start.elapsed() < SPIN_BUDGET
+            {
+                // Yield rather than `spin_loop`: on an idle core this
+                // returns at once, on an oversubscribed one it hands the
+                // core to a session that has work.
+                std::thread::yield_now();
+            }
+            st = lock_state(&sched.state);
+            if sched.generation.load(Ordering::Acquire) == seen {
+                st = sched
+                    .wakeup
+                    .wait(st)
+                    .unwrap_or_else(|poisoned| poisoned.into_inner());
+            }
         }
     }
 
     /// Submit-and-wait convenience: one blocking merged comparison.
-    pub fn compare_many(&self, pairs: &[(Vec<u64>, Vec<u64>)]) -> Result<Vec<bool>, ProtocolError> {
-        let ticket = self.submit(pairs);
+    pub fn compare_many<D: Duels + ?Sized>(&self, duels: &D) -> Result<Vec<bool>, ProtocolError> {
+        let ticket = self.submit(duels);
         self.wait(ticket)
     }
 }
@@ -493,16 +549,31 @@ impl Drop for SacSession<'_> {
         let sched = self.scheduler;
         let mut st = lock_state(&sched.state);
         st.active -= 1;
-        // Cancel unexecuted requests: their tickets can no longer be
-        // waited on (the session owns the only path to them).
-        st.pending.retain(|req| req.session != self.id);
+        // Cancel unexecuted requests and their queued duels: their tickets
+        // can no longer be waited on (the session owns the only path to
+        // them).
+        let State {
+            pending,
+            pending_duels,
+            ..
+        } = &mut *st;
+        let mut first = 0;
+        pending.retain(|req| {
+            if req.session == self.id {
+                pending_duels.remove(first, req.duels);
+                false
+            } else {
+                first += req.duels;
+                true
+            }
+        });
         if st.unresolved.remove(&self.id).is_some() {
             st.ready -= 1;
         }
         publish_gauges(&st);
         // Shrinking the barrier may complete it for the remaining
         // sessions.
-        sched.wakeup.notify_all();
+        sched.notify(&st);
     }
 }
 
@@ -512,6 +583,8 @@ mod tests {
     use crate::fedsac::{SacBackend, FEDSAC_ROUNDS};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha12Rng;
+
+    type DuelPairs = Vec<(Vec<u64>, Vec<u64>)>;
 
     fn random_pairs(parties: usize, n: usize, seed: u64) -> DuelPairs {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);

@@ -2,12 +2,12 @@
 //! comparison protocol, the threaded runner, and the MAC layer, on
 //! arbitrary inputs.
 
-use fedroad_mpc::binary::{add_public, and_many, open_word, xor_public};
+use fedroad_mpc::binary::{add_public, and_block, open_word, xor_public, AndScratch};
 use fedroad_mpc::dealer::{
     additive_shares, reconstruct_additive, reconstruct_xor, xor_shares, Dealer,
 };
 use fedroad_mpc::mac::{authenticated_open, AuthShare, MacError, MacKey};
-use fedroad_mpc::{Mesh, MsgKind, SacBackend, SacEngine};
+use fedroad_mpc::{Mesh, MsgKind, SacBackend, SacEngine, ShareBlock};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -34,8 +34,16 @@ proptest! {
         let mut dealer = Dealer::new(n, seed);
         let xs = xor_shares(&mut rng, n, x);
         let ys = xor_shares(&mut rng, n, y);
-        let z = and_many(&mut mesh, &mut dealer, &[(xs, ys)]);
-        prop_assert_eq!(reconstruct_xor(&z[0]), x & y);
+        let mut z = ShareBlock::zeroed(n, 1);
+        and_block(
+            &mut mesh,
+            &mut dealer,
+            &ShareBlock::from_words(n, &[xs]),
+            &ShareBlock::from_words(n, &[ys]),
+            &mut z,
+            &mut AndScratch::default(),
+        );
+        prop_assert_eq!(reconstruct_xor(&z.to_words()[0]), x & y);
     }
 
     #[test]

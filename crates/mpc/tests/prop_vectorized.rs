@@ -9,12 +9,13 @@
 //! memory layout and pooling rather than to a protocol change.
 
 use fedroad_mpc::binary::{
-    add_public_many, add_public_many_scalar, and_many, and_many_scalar, SharedWord,
+    add_public_block, add_public_many_scalar, and_block, and_many_scalar, AdderScratch, AndScratch,
+    SharedWord,
 };
-use fedroad_mpc::compare::{less_than_zero_many, less_than_zero_many_scalar};
+use fedroad_mpc::compare::{less_than_zero_many, less_than_zero_many_scalar, CompareScratch};
 use fedroad_mpc::dealer::{reconstruct_additive, reconstruct_xor, xor_shares, Dealer};
 use fedroad_mpc::pool::{PoolConfig, PooledDealer};
-use fedroad_mpc::{Mesh, SacBackend, SacEngine};
+use fedroad_mpc::{Mesh, SacBackend, SacEngine, ShareBlock};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -26,17 +27,60 @@ fn random_d_shares(rng: &mut ChaCha12Rng, n: usize, k: usize) -> Vec<Vec<u64>> {
         .collect()
 }
 
+/// [`and_block`] over lane-major `(x, y)` word pairs.
+fn and_words(
+    mesh: &mut Mesh,
+    dealer: &mut Dealer,
+    pairs: &[(SharedWord, SharedWord)],
+) -> Vec<SharedWord> {
+    let n = mesh.num_parties();
+    let (xs, ys): (Vec<SharedWord>, Vec<SharedWord>) = pairs.iter().cloned().unzip();
+    let mut out = ShareBlock::zeroed(n, pairs.len());
+    and_block(
+        mesh,
+        dealer,
+        &ShareBlock::from_words(n, &xs),
+        &ShareBlock::from_words(n, &ys),
+        &mut out,
+        &mut AndScratch::default(),
+    );
+    out.to_words()
+}
+
+/// [`add_public_block`] over lane-major `(addend, word)` inputs.
+fn add_words(
+    mesh: &mut Mesh,
+    dealer: &mut Dealer,
+    inputs: &[(u64, SharedWord)],
+) -> Vec<SharedWord> {
+    let n = mesh.num_parties();
+    let (addends, words): (Vec<u64>, Vec<SharedWord>) = inputs.iter().cloned().unzip();
+    let mut out = ShareBlock::zeroed(n, inputs.len());
+    add_public_block(
+        mesh,
+        dealer,
+        &addends,
+        &ShareBlock::from_words(n, &words),
+        &mut out,
+        &mut AdderScratch::default(),
+    );
+    out.to_words()
+}
+
 /// Runs the vectorized and scalar comparison kernels on identically seeded
-/// engines and asserts full observational equality.
-fn assert_compare_kernels_agree(n: usize, k: usize, seed: u64) {
+/// engines and asserts full observational equality. The vectorized kernel
+/// works in `scratch`, which callers may carry over from earlier batches
+/// of other shapes.
+fn assert_compare_kernels_agree(n: usize, k: usize, seed: u64, scratch: &mut CompareScratch) {
     let mut rng = ChaCha12Rng::seed_from_u64(seed);
     let d_list = random_d_shares(&mut rng, n, k);
 
     let mut mesh_v = Mesh::new(n);
     let mut dealer_v = Dealer::new(n, seed);
     let mut opened_v = Vec::new();
+    let d = ShareBlock::from_words(n, &d_list);
     let bits_v =
-        less_than_zero_many(&mut mesh_v, &mut dealer_v, &d_list, Some(&mut opened_v)).unwrap();
+        less_than_zero_many(&mut mesh_v, &mut dealer_v, &d, Some(&mut opened_v), scratch).unwrap();
 
     let mut mesh_s = Mesh::new(n);
     let mut dealer_s = Dealer::new(n, seed);
@@ -60,7 +104,7 @@ proptest! {
 
     #[test]
     fn comparison_kernels_are_bit_identical(n in 2usize..=5, k in 0usize..48, seed: u64) {
-        assert_compare_kernels_agree(n, k, seed);
+        assert_compare_kernels_agree(n, k, seed, &mut CompareScratch::default());
     }
 
     #[test]
@@ -76,7 +120,7 @@ proptest! {
             .collect();
         let mut mesh_v = Mesh::new(n);
         let mut dealer_v = Dealer::new(n, seed);
-        let z_v = and_many(&mut mesh_v, &mut dealer_v, &pairs);
+        let z_v = and_words(&mut mesh_v, &mut dealer_v, &pairs);
         let mut mesh_s = Mesh::new(n);
         let mut dealer_s = Dealer::new(n, seed);
         let z_s = and_many_scalar(&mut mesh_s, &mut dealer_s, &pairs);
@@ -101,7 +145,7 @@ proptest! {
             .collect();
         let mut mesh_v = Mesh::new(n);
         let mut dealer_v = Dealer::new(n, seed);
-        let sums_v = add_public_many(&mut mesh_v, &mut dealer_v, &inputs);
+        let sums_v = add_words(&mut mesh_v, &mut dealer_v, &inputs);
         let mut mesh_s = Mesh::new(n);
         let mut dealer_s = Dealer::new(n, seed);
         let sums_s = add_public_many_scalar(&mut mesh_s, &mut dealer_s, &inputs);
@@ -145,24 +189,34 @@ proptest! {
 #[test]
 fn kernels_agree_at_the_bench_batch_sizes_up_to_512() {
     // The exact batch points `compare_bench` measures, including the
-    // largest; proptest keeps its cases smaller for runtime.
+    // largest; proptest keeps its cases smaller for runtime. One scratch
+    // serves every call, growing and shrinking across party counts and
+    // batch widths as an engine's does.
+    let mut scratch = CompareScratch::default();
     for (i, &k) in [1usize, 8, 64, 512].iter().enumerate() {
-        assert_compare_kernels_agree(3, k, 0x5EED ^ i as u64);
+        assert_compare_kernels_agree(3, k, 0x5EED ^ i as u64, &mut scratch);
     }
-    assert_compare_kernels_agree(2, 512, 99);
-    assert_compare_kernels_agree(5, 128, 101);
+    assert_compare_kernels_agree(2, 512, 99, &mut scratch);
+    assert_compare_kernels_agree(5, 128, 101, &mut scratch);
+    assert_compare_kernels_agree(3, 1, 103, &mut scratch);
 }
 
 #[test]
 fn empty_batches_agree_across_every_kernel_pair() {
     let mut mesh = Mesh::new(4);
     let mut dealer = Dealer::new(4, 1);
-    assert!(and_many(&mut mesh, &mut dealer, &[]).is_empty());
+    assert!(and_words(&mut mesh, &mut dealer, &[]).is_empty());
     assert!(and_many_scalar(&mut mesh, &mut dealer, &[]).is_empty());
-    assert!(add_public_many(&mut mesh, &mut dealer, &[]).is_empty());
+    assert!(add_words(&mut mesh, &mut dealer, &[]).is_empty());
     assert!(add_public_many_scalar(&mut mesh, &mut dealer, &[]).is_empty());
     assert_eq!(
-        less_than_zero_many(&mut mesh, &mut dealer, &[], None),
+        less_than_zero_many(
+            &mut mesh,
+            &mut dealer,
+            &ShareBlock::zeroed(4, 0),
+            None,
+            &mut CompareScratch::default()
+        ),
         Ok(Vec::new())
     );
     assert_eq!(

@@ -123,3 +123,64 @@ fn threaded_backend_survives_a_panicking_waiter_too() {
         });
     });
 }
+
+/// Far past the waiter's spin budget (a private constant of a few hundred
+/// microseconds): a partner this late finds the waiter parked.
+const LATE_PARTNER: Duration = Duration::from_millis(50);
+
+#[test]
+fn waiter_parks_after_its_spin_and_completes_when_the_partner_submits_late() {
+    with_watchdog("park after spin", || {
+        let sched = BatchScheduler::lockstep(SacEngine::new(2, SacBackend::Real, 107));
+        let partner = sched.register();
+        let waiter = sched.register();
+        let (submitted, on_submit) = mpsc::channel();
+        std::thread::scope(|scope| {
+            let handle = scope.spawn(move || {
+                let ticket = waiter.submit(&one_true_pair());
+                submitted.send(()).expect("main thread listens");
+                waiter.wait(ticket)
+            });
+            on_submit.recv().expect("waiter submits");
+            std::thread::sleep(LATE_PARTNER);
+            let bits = partner
+                .compare_many(&[(vec![9, 9], vec![1, 1])])
+                .expect("the merged round must execute");
+            assert_eq!(bits, vec![false]);
+            let bits = handle.join().expect("waiter thread");
+            assert_eq!(bits.expect("the parked waiter's request"), vec![true]);
+        });
+        // The waiter submitted first, so both requests rode one round.
+        let stats = sched.stats();
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.max_requests_per_round, 2);
+    });
+}
+
+#[test]
+fn dropping_the_partner_while_the_waiter_spins_unblocks_it() {
+    with_watchdog("partner drop during spin", || {
+        let sched = BatchScheduler::lockstep(SacEngine::new(2, SacBackend::Real, 109));
+        // The partner drops microseconds after the waiter submits: mostly
+        // inside the waiter's spin, sometimes before the waiter reaches
+        // `wait` at all. Both interleavings must unblock it.
+        const TRIALS: u64 = 200;
+        for _ in 0..TRIALS {
+            let partner = sched.register();
+            let waiter = sched.register();
+            let (submitted, on_submit) = mpsc::channel();
+            std::thread::scope(|scope| {
+                let handle = scope.spawn(move || {
+                    let ticket = waiter.submit(&one_true_pair());
+                    submitted.send(()).expect("main thread listens");
+                    waiter.wait(ticket)
+                });
+                on_submit.recv().expect("waiter submits");
+                drop(partner);
+                let bits = handle.join().expect("waiter thread");
+                assert_eq!(bits.expect("the waiter's lone round"), vec![true]);
+            });
+        }
+        assert_eq!(sched.stats().rounds, TRIALS);
+    });
+}

@@ -43,6 +43,11 @@ cargo run -q -p fedroad-lint -- --differential
 echo "==> cargo test -q"
 cargo test -q
 
+# The tests must leave committed artifacts alone: a test that saves a
+# report into results/ (or over a BENCH baseline) fails here.
+echo "==> tests left committed artifacts untouched"
+git diff --exit-code -- results/ BENCH_*.json
+
 # perfbench/ is its own workspace (outside default-members), so the test
 # step above neither builds nor tests it.
 echo "==> perfbench tests"

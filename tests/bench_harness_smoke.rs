@@ -4,6 +4,13 @@
 //! method optimality on every benchmarked query) must hold.
 
 use fedroad_bench::experiments;
+use std::path::Path;
+
+/// Where these tests write their reports: cargo's per-target scratch
+/// directory, so `cargo test` never rewrites the committed `results/`.
+fn scratch_dir() -> &'static Path {
+    Path::new(env!("CARGO_TARGET_TMPDIR"))
+}
 
 #[test]
 fn table1_runs() {
@@ -51,14 +58,16 @@ fn ablations_run() {
 }
 
 /// The throughput sweep is the tentpole's acceptance check: the written
-/// `results/BENCH_throughput.json` must pass its schema, 8 workers must
+/// `BENCH_throughput.json` must pass its schema, 8 workers must
 /// deliver ≥ 2× the modeled queries/second of 1 worker, and every batch
 /// of ≥ 4 workers must need strictly fewer secure rounds per query than
 /// sequential execution.
 #[test]
 fn throughput_coalescing_wins_and_writes_schema_checked_records() {
     let report = fedroad_bench::throughput::run(true);
-    let path = report.save().expect("save re-validates the written bytes");
+    let path = report
+        .save_in(scratch_dir())
+        .expect("save re-validates the written bytes");
     let text = std::fs::read_to_string(&path).expect("report file exists");
     let doc = fedroad::core::jsonio::Value::parse(&text).expect("report re-parses");
     fedroad_bench::throughput::validate(&doc).expect("report matches its schema");
@@ -103,13 +112,15 @@ fn throughput_coalescing_wins_and_writes_schema_checked_records() {
 /// The comparison-kernel microbench must run green in quick mode, keep
 /// its cross-arm consistency asserts (bit-identical results, identical
 /// network traces, identical dealer accounting), and write a
-/// schema-checked `results/BENCH_compare.json`. Speedup thresholds are
+/// schema-checked `BENCH_compare.json`. Speedup thresholds are
 /// deliberately not asserted here: under `cargo test` this builds in the
 /// debug profile, where relative kernel timings are meaningless.
 #[test]
 fn compare_bench_runs_and_writes_schema_checked_records() {
     let report = fedroad_bench::comparebench::run(true);
-    let path = report.save().expect("save re-validates the written bytes");
+    let path = report
+        .save_in(scratch_dir())
+        .expect("save re-validates the written bytes");
     let text = std::fs::read_to_string(&path).expect("report file exists");
     let doc = fedroad::core::jsonio::Value::parse(&text).expect("report re-parses");
     fedroad_bench::comparebench::validate(&doc).expect("report matches its schema");
@@ -129,11 +140,13 @@ fn compare_bench_runs_and_writes_schema_checked_records() {
 /// The live-update acceptance check: customize on congestion waves must
 /// beat a from-scratch rebuild by ≥ 10×, query latency under live epoch
 /// swaps must stay within 2× of quiescent p50, and the written
-/// `results/BENCH_update.json` must pass its schema.
+/// `BENCH_update.json` must pass its schema.
 #[test]
 fn live_traffic_meets_the_update_and_latency_bars() {
     let report = fedroad_bench::liveupdate::run(true);
-    let path = report.save().expect("save re-validates the written bytes");
+    let path = report
+        .save_in(scratch_dir())
+        .expect("save re-validates the written bytes");
     let text = std::fs::read_to_string(&path).expect("report file exists");
     let doc = fedroad::core::jsonio::Value::parse(&text).expect("report re-parses");
     fedroad_bench::liveupdate::validate(&doc).expect("report matches its schema");
