@@ -1,5 +1,5 @@
-//! Secure-comparison kernel microbenchmark (scalar vs vectorized kernels,
-//! inline vs pooled dealer). `--quick` for a smoke run.
+//! Secure-comparison kernel microbenchmark (scalar vs vectorized
+//! kernels). `--quick` for a smoke run.
 
 fn main() {
     let quick = fedroad_bench::quick_mode();

@@ -1,18 +1,15 @@
-//! Secure-comparison microbenchmark — scalar vs vectorized kernels,
-//! inline vs pooled dealer.
+//! Secure-comparison microbenchmark — scalar vs vectorized kernels.
 //!
 //! Measures raw Fed-SAC comparison throughput (`less_than_zero_many`) at
-//! the kernel level, bypassing the query layer, across three arms:
+//! the kernel level, bypassing the query layer, across two arms:
 //!
 //! * **scalar** — the original per-gate `Vec<SharedWord>` kernels
 //!   ([`less_than_zero_many_scalar`]) with an inline dealer,
 //! * **vectorized** — the flat party-major [`ShareBlock`](fedroad_mpc::ShareBlock)
-//!   kernels with an inline dealer,
-//! * **pooled** — the vectorized kernels drawing from a
-//!   background-replenished [`PooledDealer`].
+//!   kernels with an inline dealer.
 //!
-//! Every row cross-checks that all three arms reveal identical bits and
-//! that scalar/vectorized consume identical network and dealer statistics
+//! Every row cross-checks that both arms reveal identical bits and
+//! consume identical network and dealer statistics
 //! — the differential suite's invariant kept live inside the harness, so
 //! a published speedup can never come from a protocol change.
 //!
@@ -25,7 +22,6 @@ use crate::BENCH_SEED;
 use fedroad_core::jsonio::{JsonError, Value};
 use fedroad_mpc::compare::{less_than_zero_many, less_than_zero_many_scalar, CompareScratch};
 use fedroad_mpc::dealer::Dealer;
-use fedroad_mpc::pool::{PoolConfig, PooledDealer};
 use fedroad_mpc::{Mesh, ShareBlock};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -34,7 +30,7 @@ use std::time::Instant;
 
 /// Schema identifier of the comparison-kernel report. Bump the version
 /// suffix on any breaking change to the document shape.
-pub const COMPARE_SCHEMA: &str = "fedroad.bench-compare.v1";
+pub const COMPARE_SCHEMA: &str = "fedroad.bench-compare.v2";
 
 /// Batch widths the sweep measures (the scheduler produces exactly these
 /// shapes: single duels up to wide coalesced rounds).
@@ -57,17 +53,13 @@ pub struct CompareRow {
     pub scalar_cps: f64,
     /// Vectorized-kernel comparisons/second.
     pub vectorized_cps: f64,
-    /// Vectorized kernels on the pooled dealer, comparisons/second.
-    pub pooled_cps: f64,
     /// `vectorized_cps / scalar_cps` — the layout win.
     pub vector_speedup: f64,
-    /// `pooled_cps / scalar_cps` — layout plus off-critical-path dealing.
-    pub pooled_speedup: f64,
-    /// Online rounds consumed by one arm (all arms identical, asserted).
+    /// Online rounds consumed by one arm (both arms identical, asserted).
     pub net_rounds: u64,
-    /// edaBits consumed by one arm (all arms identical, asserted).
+    /// edaBits consumed by one arm (both arms identical, asserted).
     pub edabits: u64,
-    /// Triple words consumed by one arm (all arms identical, asserted).
+    /// Triple words consumed by one arm (both arms identical, asserted).
     pub triple_words: u64,
 }
 
@@ -138,34 +130,13 @@ fn measure_one_batch(quick: bool, batch: usize) -> CompareRow {
     }
     let vectorized_s = start.elapsed().as_secs_f64();
 
-    // Pooled arm: vectorized kernels, background dealer. One untimed
-    // warm-up execution lets the pool reach steady state first.
-    let mut mesh_p = Mesh::new(PARTIES);
-    let mut pool = PooledDealer::new(PARTIES, seed, PoolConfig::default());
-    less_than_zero_many(&mut mesh_p, &mut pool, &blocks[0], None, &mut scratch)
-        .expect("well-formed bench inputs");
-    let mut mesh_p = Mesh::new(PARTIES);
-    let mut bits_p = Vec::with_capacity(reps);
-    let start = Instant::now();
-    for d in &blocks {
-        bits_p.push(
-            less_than_zero_many(&mut mesh_p, &mut pool, d, None, &mut scratch)
-                .expect("well-formed bench inputs"),
-        );
-    }
-    let pooled_s = start.elapsed().as_secs_f64();
-
-    // Live accounting-twin checks: identical bits across all arms,
-    // identical cost counters between scalar and vectorized (the pooled
-    // mesh too — its dealer stream differs, its trace cannot).
+    // Live accounting-twin checks: identical bits and cost counters.
     assert_eq!(bits_s, bits_v, "scalar and vectorized bits diverged");
-    assert_eq!(bits_s, bits_p, "pooled bits diverged");
     assert_eq!(
         mesh_s.stats(),
         mesh_v.stats(),
         "scalar and vectorized traffic diverged"
     );
-    assert_eq!(mesh_v.stats(), mesh_p.stats(), "pooled traffic diverged");
     assert_eq!(
         dealer_s.stats(),
         dealer_v.stats(),
@@ -174,27 +145,24 @@ fn measure_one_batch(quick: bool, batch: usize) -> CompareRow {
 
     let comparisons = (batch * reps) as u64;
     let cps = |t: f64| comparisons as f64 / t.max(1e-9);
-    let (scalar_cps, vectorized_cps, pooled_cps) =
-        (cps(scalar_s), cps(vectorized_s), cps(pooled_s));
+    let (scalar_cps, vectorized_cps) = (cps(scalar_s), cps(vectorized_s));
     CompareRow {
         batch,
         reps,
         comparisons,
         scalar_cps,
         vectorized_cps,
-        pooled_cps,
         vector_speedup: vectorized_cps / scalar_cps.max(1e-9),
-        pooled_speedup: pooled_cps / scalar_cps.max(1e-9),
         net_rounds: mesh_v.stats().rounds,
         edabits: dealer_v.stats().edabits,
         triple_words: dealer_v.stats().triple_words,
     }
 }
 
-/// Runs the sweep: every batch width of [`BATCH_SIZES`], three arms each.
+/// Runs the sweep: every batch width of [`BATCH_SIZES`], two arms each.
 pub fn run(quick: bool) -> CompareReport {
     heading(&format!(
-        "Secure comparisons/sec — scalar vs vectorized kernels, inline vs pooled dealer ({PARTIES} parties)"
+        "Secure comparisons/sec — scalar vs vectorized kernels ({PARTIES} parties)"
     ));
     let rows: Vec<CompareRow> = BATCH_SIZES
         .iter()
@@ -205,22 +173,12 @@ pub fn run(quick: bool) -> CompareReport {
         .map(|r| {
             (
                 format!("batch-{}", r.batch),
-                vec![
-                    r.scalar_cps,
-                    r.vectorized_cps,
-                    r.pooled_cps,
-                    r.vector_speedup,
-                    r.pooled_speedup,
-                ],
+                vec![r.scalar_cps, r.vectorized_cps, r.vector_speedup],
             )
         })
         .collect();
-    table(
-        "batch",
-        &["scalar c/s", "vector c/s", "pooled c/s", "vec ×", "pool ×"],
-        &printable,
-    );
-    println!("(expected shape: the speedup columns grow with batch width)");
+    table("batch", &["scalar c/s", "vector c/s", "vec ×"], &printable);
+    println!("(expected shape: the speedup column grows with batch width)");
     CompareReport {
         seed: BENCH_SEED,
         quick,
@@ -236,9 +194,7 @@ fn row_to_value(row: &CompareRow) -> Value {
         ("comparisons".into(), Value::Int(row.comparisons as i128)),
         ("scalar_cps".into(), Value::Float(row.scalar_cps)),
         ("vectorized_cps".into(), Value::Float(row.vectorized_cps)),
-        ("pooled_cps".into(), Value::Float(row.pooled_cps)),
         ("vector_speedup".into(), Value::Float(row.vector_speedup)),
-        ("pooled_speedup".into(), Value::Float(row.pooled_speedup)),
         ("net_rounds".into(), Value::Int(row.net_rounds as i128)),
         ("edabits".into(), Value::Int(row.edabits as i128)),
         ("triple_words".into(), Value::Int(row.triple_words as i128)),
@@ -305,13 +261,7 @@ fn validate_row(row: &Value) -> Result<(), JsonError> {
     if expect_u64(row, "batch")? == 0 {
         return Err(JsonError::Schema("row has batch width 0".into()));
     }
-    for key in [
-        "scalar_cps",
-        "vectorized_cps",
-        "pooled_cps",
-        "vector_speedup",
-        "pooled_speedup",
-    ] {
+    for key in ["scalar_cps", "vectorized_cps", "vector_speedup"] {
         let x = expect_f64(row, key)?;
         if !x.is_finite() || x <= 0.0 {
             return Err(JsonError::Schema(format!(
@@ -322,7 +272,7 @@ fn validate_row(row: &Value) -> Result<(), JsonError> {
     Ok(())
 }
 
-/// Validates a parsed document against the `fedroad.bench-compare.v1`
+/// Validates a parsed document against the `fedroad.bench-compare.v2`
 /// schema: schema tag, run parameters, and a non-empty array of
 /// well-formed rows.
 pub fn validate(doc: &Value) -> Result<(), JsonError> {
@@ -369,9 +319,7 @@ mod tests {
             comparisons: 512,
             scalar_cps: 10_000.0,
             vectorized_cps: 42_000.0,
-            pooled_cps: 55_000.0,
             vector_speedup: 4.2,
-            pooled_speedup: 5.5,
             net_rounds: 4096,
             edabits: 512,
             triple_words: 6144,
@@ -433,6 +381,6 @@ mod tests {
         assert_eq!(row.edabits, 512);
         assert_eq!(row.triple_words, 512 * 12);
         assert_eq!(row.net_rounds, 8 * (row.reps as u64));
-        assert!(row.scalar_cps > 0.0 && row.vectorized_cps > 0.0 && row.pooled_cps > 0.0);
+        assert!(row.scalar_cps > 0.0 && row.vectorized_cps > 0.0);
     }
 }

@@ -1,7 +1,7 @@
 //! The bench-regression gate: structural diff of two schema-checked
 //! telemetry artifacts (`fedroad.bench-run.v1`,
 //! `fedroad.bench-throughput.v1`, `fedroad.bench-update.v1`,
-//! `fedroad.bench-compare.v1`, `fedroad.metrics-snapshot.v1`).
+//! `fedroad.bench-compare.v2`, `fedroad.metrics-snapshot.v1`).
 //!
 //! [`diff`] compares a *baseline* document against a *current* one and
 //! yields [`Finding`]s. Severity encodes how trustworthy each metric is:
@@ -371,13 +371,7 @@ fn diff_compare(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Js
             );
         }
         // Throughput and speedup ratios fold in host CPU/cores: advisory.
-        for key in [
-            "scalar_cps",
-            "vectorized_cps",
-            "pooled_cps",
-            "vector_speedup",
-            "pooled_speedup",
-        ] {
+        for key in ["scalar_cps", "vectorized_cps", "vector_speedup"] {
             cx.compare(
                 &format!("{label}.{key}"),
                 f(b_row, key)?,
@@ -644,11 +638,11 @@ mod tests {
 
     fn compare_report_json(edabits: u64, vectorized_cps: f64) -> String {
         format!(
-            "{{\"schema\":\"fedroad.bench-compare.v1\",\"seed\":7,\"quick\":true,\
+            "{{\"schema\":\"fedroad.bench-compare.v2\",\"seed\":7,\"quick\":true,\
              \"parties\":3,\"rows\":[{{\"batch\":64,\"reps\":8,\"comparisons\":512,\
              \"net_rounds\":64,\"edabits\":{edabits},\"triple_words\":6144,\
              \"scalar_cps\":1000.0,\"vectorized_cps\":{vectorized_cps},\
-             \"pooled_cps\":5000.0,\"vector_speedup\":4.0,\"pooled_speedup\":5.0}}]}}"
+             \"vector_speedup\":4.0}}]}}"
         )
     }
 
@@ -687,7 +681,7 @@ mod tests {
         let base = parse(&compare_report_json(512, 4000.0));
         let drifted = parse(
             &compare_report_json(512, 4000.0)
-                .replace("fedroad.bench-compare.v1", "fedroad.bench-compare.v2"),
+                .replace("fedroad.bench-compare.v2", "fedroad.bench-compare.v3"),
         );
         assert!(matches!(
             diff(&base, &drifted, &DiffOptions::default()),

@@ -348,14 +348,12 @@ impl QueryEngine {
     ) -> (QueryResult, fedroad_obs::QueryTrace) {
         let was_enabled = fedroad_obs::is_enabled();
         fedroad_obs::enable();
-        let mark = fedroad_obs::mark();
         let begin_ns = fedroad_obs::now_ns();
         let before = fed.sac_cumulative_stats();
         let batches_before = fed.engine().batch_count();
-        let result = self.spsp(fed, s, t);
+        let (result, events) = fedroad_obs::capture(|| self.spsp(fed, s, t));
         let after = fed.sac_cumulative_stats();
         let end_ns = fedroad_obs::now_ns();
-        let events = fedroad_obs::thread_events_since(mark);
         if !was_enabled {
             fedroad_obs::disable();
         }

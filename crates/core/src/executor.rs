@@ -324,26 +324,21 @@ impl BatchExecutor {
         };
         if obs {
             fedroad_obs::counter_add("executor.queries", queries.len() as u64);
-            let mut args = vec![
-                (
-                    "queries",
-                    fedroad_obs::ObsValue::Count(queries.len() as u64),
-                ),
-                ("workers", fedroad_obs::ObsValue::Count(*workers as u64)),
-                ("rounds", fedroad_obs::ObsValue::Count(sched.rounds)),
-                (
-                    "coalesced",
-                    fedroad_obs::ObsValue::Count(sched.coalesced_requests),
-                ),
-            ];
-            // When the engine preprocesses on a background dealer pool,
-            // attribute refill/stall behavior to the batch. Depths and
-            // counters are pure shapes, never share material.
-            if let Some(pool) = scheduler.pool_stats() {
-                args.push(("pool_refills", fedroad_obs::ObsValue::Count(pool.refills)));
-                args.push(("pool_stalls", fedroad_obs::ObsValue::Count(pool.stalls)));
-            }
-            fedroad_obs::span_end("executor.batch", &args);
+            fedroad_obs::span_end(
+                "executor.batch",
+                &[
+                    (
+                        "queries",
+                        fedroad_obs::ObsValue::Count(queries.len() as u64),
+                    ),
+                    ("workers", fedroad_obs::ObsValue::Count(*workers as u64)),
+                    ("rounds", fedroad_obs::ObsValue::Count(sched.rounds)),
+                    (
+                        "coalesced",
+                        fedroad_obs::ObsValue::Count(sched.coalesced_requests),
+                    ),
+                ],
+            );
         }
         BatchOutcome { results, report }
     }

@@ -12,7 +12,6 @@
 //! cargo run -p fedroad-lint FILE...          # lint specific files (fixtures)
 //! cargo run -p fedroad-lint -- --sarif       # SARIF 2.1.0 to stdout
 //! cargo run -p fedroad-lint -- --sarif-out P # SARIF to a file (text still on stderr)
-//! cargo run -p fedroad-lint -- --differential # token-vs-AST migration gate
 //! ```
 //!
 //! Rule families (see [`rules`] for exact scoping):
@@ -33,15 +32,11 @@
 //! | `condvar-wait-in-loop` | `Condvar::wait` whose result is not re-checked under a loop predicate |
 //! | `atomic-gate-ordering` | `Ordering::Relaxed` on atomics gating cross-thread data publication |
 //!
-//! Two engines back the rules. The original **token engine**
-//! ([`rules::lint_source_token`], R1–R6) is file-global and one-level; the
-//! **dataflow engine** ([`rules::lint_files`]) parses each file into a
-//! lightweight AST, runs a scope-aware flow-sensitive taint evaluation
-//! with per-function summaries computed to a fixpoint across the whole
-//! workspace, and adds R7/R8/R9. The `--differential` gate keeps the
-//! migration honest: the dataflow engine must find a (rule, line)
-//! superset of the token engine on every fixture, and both must be clean
-//! on the real tree.
+//! One engine backs the rules ([`rules::lint_files`]). It parses each
+//! file into a lightweight AST and runs a scope-aware, flow-sensitive
+//! taint evaluation with per-function summaries computed to a fixpoint
+//! across the whole workspace (R1/R4/R6/R7/R8), next to token-level
+//! passes for R2/R3/R5 and the R9 stale-marker check.
 //!
 //! Intentional declassification uses `// lint: public-ok(<reason>)` on a
 //! `let` whose initializer is tainted — the marker asserts the value is a
@@ -78,27 +73,18 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Lints one file on disk with the dataflow engine. A leading
-/// `// lint-fixture: <rel>` directive overrides the path classification;
-/// otherwise the path itself (made relative to `root` when possible)
-/// decides which rules apply.
+/// Lints one file on disk. A leading `// lint-fixture: <rel>` directive
+/// overrides the path classification; otherwise the path itself (made
+/// relative to `root` when possible) decides which rules apply.
 pub fn lint_file(root: &Path, path: &Path) -> io::Result<Vec<Finding>> {
     let src = fs::read_to_string(path)?;
     let rel = fixture_directive(&src).unwrap_or_else(|| rel_path(root, path));
     Ok(lint_source(&rel, &src))
 }
 
-/// Lints one file on disk with the legacy token engine (the differential
-/// baseline).
-pub fn lint_file_token(root: &Path, path: &Path) -> io::Result<Vec<Finding>> {
-    let src = fs::read_to_string(path)?;
-    let rel = fixture_directive(&src).unwrap_or_else(|| rel_path(root, path));
-    Ok(rules::lint_source_token(&rel, &src))
-}
-
-/// Lints every first-party source file of the workspace at `root` with
-/// the dataflow engine; interprocedural summaries span all files, so a
-/// helper in one module is understood at its call sites in another.
+/// Lints every first-party source file of the workspace at `root`;
+/// interprocedural summaries span all files, so a helper in one module is
+/// understood at its call sites in another.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(rules::lint_files(&workspace_sources(root)?))
 }
@@ -107,7 +93,7 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
 /// workspace at `root`: the root package's `src/` plus each member under
 /// `crates/*/src/`. Fixture directories and `vendor/` are skipped by
 /// construction.
-pub fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
+fn workspace_sources(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut files = Vec::new();
     collect_rs(&root.join("src"), &mut files)?;
     let crates_dir = root.join("crates");

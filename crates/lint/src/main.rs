@@ -7,24 +7,16 @@
 //! - `--sarif` — emit findings as SARIF 2.1.0 on stdout (text still goes
 //!   to stderr).
 //! - `--sarif-out <path>` — write the SARIF log to a file instead.
-//! - `--differential` — run the token-vs-AST migration gate: on every
-//!   fixture the dataflow engine must report a (rule, line) superset of
-//!   the token engine, and both engines must be clean on the workspace.
-//!   Prints per-rule finding counts and wall-time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     let mut sarif_stdout = false;
     let mut sarif_out: Option<PathBuf> = None;
-    let mut differential = false;
     let mut files: Vec<String> = Vec::new();
 
     let mut args = std::env::args().skip(1);
@@ -38,15 +30,11 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--differential" => differential = true,
             _ => files.push(a),
         }
     }
 
     let root = workspace_root();
-    if differential {
-        return run_differential(&root);
-    }
 
     let result = if files.is_empty() {
         fedroad_lint::lint_workspace(&root)
@@ -91,119 +79,6 @@ fn main() -> ExitCode {
         }
         eprintln!("fedroad-lint: {} finding(s)", findings.len());
         ExitCode::FAILURE
-    }
-}
-
-/// The token-vs-AST migration gate. Passes iff (a) on every fixture the
-/// dataflow engine's (rule, line) set is a superset of the token
-/// engine's, and (b) both engines report zero findings on the workspace.
-fn run_differential(root: &Path) -> ExitCode {
-    let started = Instant::now();
-    let fixtures_dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures");
-    let mut fixtures: Vec<PathBuf> = match std::fs::read_dir(&fixtures_dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|e| e == "rs"))
-            .collect(),
-        Err(e) => {
-            eprintln!("fedroad-lint: cannot read {}: {e}", fixtures_dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    fixtures.sort();
-
-    let mut ok = true;
-    let mut per_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for path in &fixtures {
-        let name = path.file_name().unwrap_or_default().to_string_lossy();
-        let (token, ast) = match (
-            fedroad_lint::lint_file_token(root, path),
-            fedroad_lint::lint_file(root, path),
-        ) {
-            (Ok(t), Ok(a)) => (t, a),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("differential: {name}: read error: {e}");
-                ok = false;
-                continue;
-            }
-        };
-        for f in &ast {
-            *per_rule.entry(f.rule).or_insert(0) += 1;
-        }
-        let token_set: BTreeSet<(&str, usize)> = token.iter().map(|f| (f.rule, f.line)).collect();
-        let ast_set: BTreeSet<(&str, usize)> = ast.iter().map(|f| (f.rule, f.line)).collect();
-        let missing: Vec<_> = token_set.difference(&ast_set).collect();
-        if missing.is_empty() {
-            eprintln!(
-                "differential: {name}: ok (token {} ⊆ ast {})",
-                token_set.len(),
-                ast_set.len()
-            );
-        } else {
-            ok = false;
-            eprintln!("differential: {name}: AST engine LOST findings: {missing:?}");
-        }
-    }
-
-    for engine in ["token", "ast"] {
-        let findings = if engine == "token" {
-            workspace_token_findings(root)
-        } else {
-            fedroad_lint::lint_workspace(root).unwrap_or_else(|e| {
-                vec![fedroad_lint::Finding {
-                    rule: "crate-hygiene",
-                    file: format!("<io error: {e}>"),
-                    line: 0,
-                    message: e.to_string(),
-                }]
-            })
-        };
-        if findings.is_empty() {
-            eprintln!("differential: workspace clean under {engine} engine");
-        } else {
-            ok = false;
-            eprintln!(
-                "differential: workspace NOT clean under {engine} engine ({}):",
-                findings.len()
-            );
-            for f in &findings {
-                eprintln!("  {f}");
-            }
-        }
-    }
-
-    eprintln!("differential: per-rule counts across fixtures (ast engine):");
-    for (rule, n) in &per_rule {
-        eprintln!("  {rule}: {n}");
-    }
-    eprintln!(
-        "differential: {} fixtures in {:.1} ms",
-        fixtures.len(),
-        started.elapsed().as_secs_f64() * 1e3
-    );
-    if ok {
-        eprintln!("differential: PASS");
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("differential: FAIL");
-        ExitCode::FAILURE
-    }
-}
-
-/// Token-engine findings across the workspace (the legacy engine is
-/// per-file, so this is a simple fold).
-fn workspace_token_findings(root: &Path) -> Vec<fedroad_lint::Finding> {
-    match fedroad_lint::workspace_sources(root) {
-        Ok(sources) => sources
-            .iter()
-            .flat_map(|(rel, src)| fedroad_lint::rules::lint_source_token(rel, src))
-            .collect(),
-        Err(e) => vec![fedroad_lint::Finding {
-            rule: "crate-hygiene",
-            file: format!("<io error: {e}>"),
-            line: 0,
-            message: e.to_string(),
-        }],
     }
 }
 

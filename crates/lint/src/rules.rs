@@ -1,4 +1,4 @@
-//! The secret-hygiene rule families and the two engines that run them.
+//! The secret-hygiene rule families and the engine that runs them.
 //!
 //! Scoping: rules R1/R2/R6/R7/R8 apply to the *secret crates*
 //! (`fedroad-mpc`, `fedroad-core`) whose values include share material;
@@ -9,14 +9,10 @@
 //! legitimately print, unwrap, and record synthetic values), never from
 //! R2/R5. `#[cfg(not(test))]` is production code and gets no exemption.
 //!
-//! Two engines share the rule set:
-//!
-//! - [`lint_source_token`] — the original token-level engine (R1–R6),
-//!   kept as the differential baseline: the AST engine must find a
-//!   superset of its findings on every fixture.
-//! - [`lint_files`] / [`lint_source`] — the hybrid engine: token-level
-//!   R2/R3/R5 plus the scope-aware, interprocedural [`crate::taint`]
-//!   dataflow for R1/R4/R6 and the new R7/R8, and R9 for stale markers.
+//! One engine runs the rule set: [`lint_files`] / [`lint_source`] run
+//! token-level R2/R3/R5, the scope-aware, interprocedural
+//! [`crate::taint`] dataflow for R1/R4/R6/R7/R8, the [`crate::locks`]
+//! lock-set pass for R10–R13, and R9 for stale markers.
 
 use crate::ast;
 use crate::lexer::{lex, Lexed, Marker, MarkerKind, Token, TokenKind};
@@ -233,49 +229,23 @@ pub fn lint_files(inputs: &[(String, String)]) -> Vec<Finding> {
             &p.mask,
             raw,
             &t.used_public_ok,
-            true,
         ));
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
 }
 
-/// Runs the original token-level engine (R1–R6, no R7/R8/R9) over one
-/// file — the differential baseline for the AST migration.
-pub fn lint_source_token(rel_path: &str, src: &str) -> Vec<Finding> {
-    let ctx = FileContext::classify(rel_path);
-    let lexed = lex(src);
-    let test_mask = test_region_mask(&lexed.tokens);
-    let tainted = tainted_idents(&lexed, &test_mask);
-
-    let mut raw = Vec::new();
-    if ctx.secret_crate {
-        rule_no_debug_print(&ctx, &lexed, &test_mask, &tainted, &mut raw);
-        rule_no_debug_on_shares(&ctx, &lexed, &mut raw);
-        rule_obs_no_secret_args(&ctx, &lexed, &test_mask, &tainted, &mut raw);
-    }
-    if ctx.hot_path {
-        rule_no_panic_hot_path(&ctx, &lexed, &test_mask, &mut raw);
-        rule_no_secret_branch(&ctx, &lexed, &test_mask, &tainted, &mut raw);
-    }
-    if ctx.crate_root {
-        rule_crate_hygiene_headers(&ctx, &lexed, &mut raw);
-    }
-    apply_markers(&ctx, &lexed, &test_mask, raw, &HashSet::new(), false)
-}
-
 /// Suppresses suppressible raw findings covered by a matching marker,
-/// then (when `emit_unused` is set) reports rule R9 `unused-suppression`
-/// for every marker outside test regions that neither suppressed a
-/// finding nor declassified a binding (`used_external`, from the taint
-/// engine's `public-ok` bookkeeping).
+/// then reports rule R9 `unused-suppression` for every marker outside
+/// test regions that neither suppressed a finding nor declassified a
+/// binding (`used_external`, from the taint engine's `public-ok`
+/// bookkeeping).
 fn apply_markers(
     ctx: &FileContext,
     lexed: &Lexed,
     test_mask: &[bool],
     raw: Vec<RawFinding>,
     used_external: &HashSet<usize>,
-    emit_unused: bool,
 ) -> Vec<Finding> {
     let mut used: HashSet<usize> = used_external.clone();
     let mut out = Vec::new();
@@ -293,23 +263,21 @@ fn apply_markers(
             out.push(r.finding);
         }
     }
-    if emit_unused {
-        let spans = test_line_spans(&lexed.tokens, test_mask);
-        for m in &lexed.markers {
-            let in_test = spans.iter().any(|(lo, hi)| *lo <= m.line && m.line <= *hi);
-            if !used.contains(&m.line) && !in_test {
-                out.push(Finding {
-                    rule: "unused-suppression",
-                    file: ctx.rel_path.clone(),
-                    line: m.line,
-                    message: format!(
-                        "`// lint: {}(...)` suppresses nothing; remove the stale \
-                         marker or move it within two lines of the code it \
-                         justifies",
-                        marker_name(m.kind)
-                    ),
-                });
-            }
+    let spans = test_line_spans(&lexed.tokens, test_mask);
+    for m in &lexed.markers {
+        let in_test = spans.iter().any(|(lo, hi)| *lo <= m.line && m.line <= *hi);
+        if !used.contains(&m.line) && !in_test {
+            out.push(Finding {
+                rule: "unused-suppression",
+                file: ctx.rel_path.clone(),
+                line: m.line,
+                message: format!(
+                    "`// lint: {}(...)` suppresses nothing; remove the stale \
+                     marker or move it within two lines of the code it \
+                     justifies",
+                    marker_name(m.kind)
+                ),
+            });
         }
     }
     out
@@ -407,177 +375,6 @@ fn test_region_mask(tokens: &[Token]) -> Vec<bool> {
         i = k;
     }
     mask
-}
-
-/// One-level taint: identifiers `let`-bound from an expression that calls
-/// a [`SHARE_APIS`] function or mentions an already-tainted identifier.
-/// A `// lint: public-ok(...)` marker covering the `let` declassifies the
-/// binding (the same contract the dataflow engine honours).
-fn tainted_idents(lexed: &Lexed, test_mask: &[bool]) -> HashSet<String> {
-    let tokens = &lexed.tokens;
-    let mut tainted: HashSet<String> = HashSet::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if tokens[i].text != "let" || tokens[i].kind != TokenKind::Ident || test_mask[i] {
-            i += 1;
-            continue;
-        }
-        // `if let` / `while let` are pattern matches, not bindings of the
-        // RHS value itself — and their "RHS" would wrongly include the
-        // branch body. R4 inspects those scrutinees separately.
-        if i > 0 && (tokens[i - 1].text == "if" || tokens[i - 1].text == "while") {
-            i += 1;
-            continue;
-        }
-        let declassified = lexed
-            .markers
-            .iter()
-            .any(|m| m.kind == MarkerKind::PublicOk && marker_covers(m, tokens[i].line));
-        // Bindings: idents between `let` and `=`, cut at the first `:` at
-        // bracket depth 0 (a type annotation, not a binding).
-        let mut bindings: Vec<&str> = Vec::new();
-        let mut j = i + 1;
-        let mut depth = 0i32;
-        let mut in_type = false;
-        while j < tokens.len() {
-            let t = &tokens[j];
-            match t.text.as_str() {
-                "(" | "[" | "<" => depth += 1,
-                ")" | "]" | ">" => depth -= 1,
-                "=" if depth <= 0 => break,
-                ";" if depth <= 0 => break,
-                ":" if depth <= 0 => in_type = true,
-                _ => {
-                    if !in_type && t.kind == TokenKind::Ident && t.text != "mut" {
-                        bindings.push(&t.text);
-                    }
-                }
-            }
-            j += 1;
-        }
-        if j >= tokens.len() || tokens[j].text != "=" {
-            i = j.max(i + 1);
-            continue;
-        }
-        // RHS: from `=` to the terminating `;` at brace/paren depth 0.
-        let mut k = j + 1;
-        let mut d = 0i32;
-        let mut rhs_tainted = false;
-        while k < tokens.len() {
-            let t = &tokens[k];
-            match t.text.as_str() {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d -= 1,
-                ";" if d <= 0 => break,
-                _ => {
-                    if t.kind == TokenKind::Ident
-                        && (SHARE_APIS.contains(&t.text.as_str()) || tainted.contains(&t.text))
-                    {
-                        rhs_tainted = true;
-                    }
-                }
-            }
-            k += 1;
-        }
-        if rhs_tainted && !declassified {
-            for b in bindings {
-                tainted.insert(b.to_string());
-            }
-        }
-        i = k.max(i + 1);
-    }
-    tainted
-}
-
-/// R1 `no-debug-print` (token form): `println!`/`eprintln!`/`print!`/
-/// `eprint!`/`dbg!` in non-test secret-crate code, and `{:?}` formatting
-/// whose subject is a tainted (share-carrying) identifier.
-fn rule_no_debug_print(
-    ctx: &FileContext,
-    lexed: &Lexed,
-    test_mask: &[bool],
-    tainted: &HashSet<String>,
-    out: &mut Vec<RawFinding>,
-) {
-    let tokens = &lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if test_mask[i] {
-            continue;
-        }
-        if t.kind == TokenKind::Ident
-            && taint::PRINT_MACROS.contains(&t.text.as_str())
-            && matches!(tokens.get(i + 1), Some(n) if n.text == "!")
-        {
-            out.push(RawFinding {
-                finding: Finding {
-                    rule: "no-debug-print",
-                    file: ctx.rel_path.clone(),
-                    line: t.line,
-                    message: format!(
-                        "`{}!` in non-test code of a share-handling crate; \
-                         share material must never reach a console",
-                        t.text
-                    ),
-                },
-                suppressible: Some(MarkerKind::DebugOk),
-            });
-        }
-        if t.kind == TokenKind::Str {
-            // Inline `{name:?}` of a tainted identifier.
-            for name in inline_debug_subjects(&t.text) {
-                if tainted.contains(&name) {
-                    out.push(RawFinding {
-                        finding: Finding {
-                            rule: "no-debug-print",
-                            file: ctx.rel_path.clone(),
-                            line: t.line,
-                            message: format!(
-                                "`{{{name}:?}}` debug-formats share-carrying `{name}`"
-                            ),
-                        },
-                        suppressible: Some(MarkerKind::DebugOk),
-                    });
-                }
-            }
-            // Positional `{:?}` whose argument list mentions a tainted
-            // identifier: scan to the end of the enclosing macro call.
-            if t.text.contains("{:?}") {
-                let mut d = 0i32;
-                let mut k = i + 1;
-                while k < tokens.len() {
-                    let a = &tokens[k];
-                    match a.text.as_str() {
-                        "(" | "[" | "{" => d += 1,
-                        ")" | "]" | "}" => {
-                            d -= 1;
-                            if d < 0 {
-                                break;
-                            }
-                        }
-                        ";" if d <= 0 => break,
-                        _ => {
-                            if a.kind == TokenKind::Ident && tainted.contains(&a.text) {
-                                out.push(RawFinding {
-                                    finding: Finding {
-                                        rule: "no-debug-print",
-                                        file: ctx.rel_path.clone(),
-                                        line: t.line,
-                                        message: format!(
-                                            "`{{:?}}` debug-formats share-carrying `{}`",
-                                            a.text
-                                        ),
-                                    },
-                                    suppressible: Some(MarkerKind::DebugOk),
-                                });
-                                break;
-                            }
-                        }
-                    }
-                    k += 1;
-                }
-            }
-        }
-    }
 }
 
 /// Extracts `name` from every `{name:?}` / `{name:#?}` in a format string.
@@ -722,113 +519,6 @@ fn rule_no_panic_hot_path(
     }
 }
 
-/// R4 `no-secret-branch` (token form): an `if`/`match` whose scrutinee
-/// mentions a tainted identifier — control flow would depend on share
-/// values, a direct timing/trace channel (the static twin of the
-/// constant-trace audit).
-fn rule_no_secret_branch(
-    ctx: &FileContext,
-    lexed: &Lexed,
-    test_mask: &[bool],
-    tainted: &HashSet<String>,
-    out: &mut Vec<RawFinding>,
-) {
-    let tokens = &lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if test_mask[i] || t.kind != TokenKind::Ident || (t.text != "if" && t.text != "match") {
-            continue;
-        }
-        // Scrutinee: tokens up to the body's `{` at bracket depth 0.
-        let mut j = i + 1;
-        let mut depth = 0i32;
-        while j < tokens.len() {
-            let s = &tokens[j];
-            match s.text.as_str() {
-                "(" | "[" => depth += 1,
-                ")" | "]" => depth -= 1,
-                "{" if depth <= 0 => break,
-                _ => {
-                    if s.kind == TokenKind::Ident && tainted.contains(&s.text) {
-                        out.push(RawFinding {
-                            finding: Finding {
-                                rule: "no-secret-branch",
-                                file: ctx.rel_path.clone(),
-                                line: t.line,
-                                message: format!(
-                                    "`{}` scrutinee mentions share-carrying `{}`; \
-                                     protocol control flow must be input-independent",
-                                    t.text, s.text
-                                ),
-                            },
-                            suppressible: None,
-                        });
-                        break;
-                    }
-                }
-            }
-            j += 1;
-        }
-    }
-}
-
-/// R6 `obs-no-secret-args` (token form): a recorder sink — any
-/// `record*`/`span*` identifier, or `instant`/`counter_add`/`hist_record`
-/// — called with an argument that mentions a share-carrying identifier or
-/// a [`SHARE_APIS`] call.
-fn rule_obs_no_secret_args(
-    ctx: &FileContext,
-    lexed: &Lexed,
-    test_mask: &[bool],
-    tainted: &HashSet<String>,
-    out: &mut Vec<RawFinding>,
-) {
-    const EXACT_SINKS: [&str; 3] = ["instant", "counter_add", "hist_record"];
-    let tokens = &lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if test_mask[i] || t.kind != TokenKind::Ident {
-            continue;
-        }
-        let is_sink = t.text.starts_with("record")
-            || t.text.starts_with("span")
-            || t.text.starts_with("gauge")
-            || EXACT_SINKS.contains(&t.text.as_str());
-        if !is_sink || !matches!(tokens.get(i + 1), Some(n) if n.text == "(") {
-            continue;
-        }
-        // Argument list: scan to the matching close paren.
-        let mut depth = 1i32;
-        let mut j = i + 2;
-        while j < tokens.len() && depth > 0 {
-            let a = &tokens[j];
-            match a.text.as_str() {
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                _ => {
-                    if a.kind == TokenKind::Ident
-                        && (tainted.contains(&a.text) || SHARE_APIS.contains(&a.text.as_str()))
-                    {
-                        out.push(RawFinding {
-                            finding: Finding {
-                                rule: "obs-no-secret-args",
-                                file: ctx.rel_path.clone(),
-                                line: t.line,
-                                message: format!(
-                                    "recorder sink `{}` receives share-carrying `{}`; \
-                                     only public accounting quantities may be recorded",
-                                    t.text, a.text
-                                ),
-                            },
-                            suppressible: None,
-                        });
-                        break; // one finding per call
-                    }
-                }
-            }
-            j += 1;
-        }
-    }
-}
-
 /// R5 `crate-hygiene`: every crate root must carry
 /// `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`.
 fn rule_crate_hygiene_headers(ctx: &FileContext, lexed: &Lexed, out: &mut Vec<RawFinding>) {
@@ -893,21 +583,16 @@ mod tests {
             }
         "#;
         assert!(lint_source("crates/mpc/src/compare.rs", src).is_empty());
-        assert!(lint_source_token("crates/mpc/src/compare.rs", src).is_empty());
     }
 
     #[test]
     fn cfg_not_test_gets_no_exemption() {
         let src = "#[cfg(not(test))]\npub fn deliver(m: Option<u64>) -> u64 { m.unwrap() }\n";
-        for findings in [
-            lint_source("crates/mpc/src/net.rs", src),
-            lint_source_token("crates/mpc/src/net.rs", src),
-        ] {
-            assert!(
-                findings.iter().any(|f| f.rule == "no-panic-hot-path"),
-                "cfg(not(test)) is production code: {findings:?}"
-            );
-        }
+        let findings = lint_source("crates/mpc/src/net.rs", src);
+        assert!(
+            findings.iter().any(|f| f.rule == "no-panic-hot-path"),
+            "cfg(not(test)) is production code: {findings:?}"
+        );
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! `param_reaches_sink`), and summaries are iterated to a fixpoint across
 //! every file handed to [`analyze`], so a helper that forwards its
 //! argument into `println!` two calls away is caught at the call site
-//! that supplied the share (rule R7) — the exact blind spot the token
-//! pass documented.
+//! that supplied the share (rule R7), where a one-level, file-local pass
+//! would see nothing.
 //!
 //! Declassification mirrors the protocol: calls whose name starts with
 //! `open`/`reveal`/`reconstruct`/`less_than` return *public* values (the
@@ -754,8 +754,8 @@ mod tests {
 
     #[test]
     fn interprocedural_return_taint_reaches_a_branch() {
-        // The token engine's documented blind spot: the share is created
-        // in a helper, the caller's RHS never mentions a tainted name.
+        // The share is created in a helper; the caller's RHS never
+        // mentions a tainted name.
         let src = r#"
             fn derive_mask(rng: &mut R) -> u64 {
                 let share = additive_shares(rng, 2, 7);

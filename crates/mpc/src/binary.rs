@@ -23,7 +23,7 @@
 #![deny(clippy::unwrap_used)]
 
 use crate::block::ShareBlock;
-use crate::dealer::DealSource;
+use crate::dealer::Dealer;
 use crate::error::ProtocolError;
 use crate::net::{Mesh, MsgKind};
 
@@ -85,7 +85,7 @@ pub struct AndScratch {
 /// straight slice loops — no per-gate allocation.
 pub fn and_block(
     mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
+    dealer: &mut Dealer,
     x: &ShareBlock,
     y: &ShareBlock,
     out: &mut ShareBlock,
@@ -144,7 +144,7 @@ pub fn and_block(
 /// measure the speedup. Consumes the dealer stream in the same order.
 pub fn and_many_scalar(
     mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
+    dealer: &mut Dealer,
     pairs: &[(SharedWord, SharedWord)],
 ) -> Vec<SharedWord> {
     if pairs.is_empty() {
@@ -205,7 +205,7 @@ const ADDER_SHIFTS: [u32; 6] = [1, 2, 4, 8, 16, 32];
 /// therefore local.
 pub fn add_public(
     mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
+    dealer: &mut Dealer,
     addend: u64,
     s: &SharedWord,
 ) -> Result<SharedWord, ProtocolError> {
@@ -253,7 +253,7 @@ pub struct AdderScratch {
 /// the dealer stream identically.
 pub fn add_public_block(
     mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
+    dealer: &mut Dealer,
     addends: &[u64],
     s: &ShareBlock,
     out: &mut ShareBlock,
@@ -348,7 +348,7 @@ pub fn add_public_block(
 /// matching the vectorized path.
 pub fn add_public_many_scalar(
     mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
+    dealer: &mut Dealer,
     inputs: &[(u64, SharedWord)],
 ) -> Vec<SharedWord> {
     if inputs.is_empty() {

@@ -29,7 +29,7 @@ use crate::binary::{
     ADDER_TRIPLE_WORDS,
 };
 use crate::block::ShareBlock;
-use crate::dealer::DealSource;
+use crate::dealer::Dealer;
 use crate::error::ProtocolError;
 use crate::net::{Mesh, MsgKind};
 
@@ -47,7 +47,7 @@ pub const COMPARE_TRIPLE_WORDS: u64 = ADDER_TRIPLE_WORDS;
 /// `opened_mask` (for the audit's uniformity check).
 pub fn less_than_zero(
     mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
+    dealer: &mut Dealer,
     d_shares: &[u64],
     opened_mask: Option<&mut Vec<u64>>,
 ) -> Result<bool, ProtocolError> {
@@ -88,7 +88,7 @@ pub struct CompareScratch {
 /// [`ProtocolError::EmptyBatch`]).
 pub fn less_than_zero_many(
     mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
+    dealer: &mut Dealer,
     d: &ShareBlock,
     opened_mask: Option<&mut Vec<u64>>,
     scratch: &mut CompareScratch,
@@ -168,7 +168,7 @@ pub fn less_than_zero_many(
 /// consumption (pinned by proptest).
 pub fn less_than_zero_many_scalar(
     mesh: &mut Mesh,
-    dealer: &mut impl DealSource,
+    dealer: &mut Dealer,
     d_shares_list: &[Vec<u64>],
     opened_mask: Option<&mut Vec<u64>>,
 ) -> Result<Vec<bool>, ProtocolError> {
@@ -229,12 +229,12 @@ pub fn less_than_zero_many_scalar(
 /// Accounts the exact communication/preprocessing costs of one comparison
 /// without executing it — the `Modeled` backend's counterpart of
 /// [`less_than_zero`]. Keeping the two in lockstep is enforced by test.
-pub fn account_less_than_zero(mesh: &mut Mesh, dealer: &mut impl DealSource) {
+pub fn account_less_than_zero(mesh: &mut Mesh, dealer: &mut Dealer) {
     account_less_than_zero_many(mesh, dealer, 1);
 }
 
 /// Accounting twin of [`less_than_zero_many`] for a batch of `k`.
-pub fn account_less_than_zero_many(mesh: &mut Mesh, dealer: &mut impl DealSource, k: usize) {
+pub fn account_less_than_zero_many(mesh: &mut Mesh, dealer: &mut Dealer, k: usize) {
     if k == 0 {
         return;
     }

@@ -164,81 +164,6 @@ impl Dealer {
     }
 }
 
-/// Any source of correlated randomness the protocol kernels can draw from:
-/// the inline [`Dealer`] (generation on the query critical path) or the
-/// background-replenished [`crate::pool::PooledDealer`]. Every source must
-/// keep a per-seed deterministic issuance order and account consumption
-/// with the same byte formulas, so swapping sources never changes results
-/// or statistics.
-pub trait DealSource {
-    /// Number of parties this source serves.
-    fn num_parties(&self) -> usize;
-    /// Issues one edaBit.
-    fn edabit(&mut self) -> EdaBit;
-    /// Issues one packed triple word.
-    fn triple_word(&mut self) -> TripleWord;
-    /// Accounts modeled (non-generated) consumption; see [`Dealer::account`].
-    fn account(&mut self, edabits: u64, triple_words: u64);
-    /// Consumption statistics so far.
-    fn stats(&self) -> DealerStats;
-
-    /// Issues `k` edaBits as a flat block. The default packs `k` scalar
-    /// issuances, preserving issuance order; sources with a cheaper bulk
-    /// path (the inline dealer's direct slab fill, the pool's single-lock
-    /// drain) override it.
-    fn edabit_block(&mut self, k: usize) -> EdaBitBlock {
-        let n = self.num_parties();
-        let mut blk = EdaBitBlock::zeroed(n, k);
-        for i in 0..k {
-            let e = self.edabit();
-            for p in 0..n {
-                blk.arith.set(p, i, e.arith[p]);
-                blk.bits.set(p, i, e.bits[p]);
-            }
-        }
-        blk
-    }
-
-    /// Issues `k` triple words as a flat block; see [`Self::edabit_block`].
-    fn triple_block(&mut self, k: usize) -> TripleBlock {
-        let n = self.num_parties();
-        let mut blk = TripleBlock::zeroed(n, k);
-        for i in 0..k {
-            let t = self.triple_word();
-            for p in 0..n {
-                blk.a.set(p, i, t.a[p]);
-                blk.b.set(p, i, t.b[p]);
-                blk.c.set(p, i, t.c[p]);
-            }
-        }
-        blk
-    }
-}
-
-impl DealSource for Dealer {
-    fn num_parties(&self) -> usize {
-        Dealer::num_parties(self)
-    }
-    fn edabit(&mut self) -> EdaBit {
-        Dealer::edabit(self)
-    }
-    fn triple_word(&mut self) -> TripleWord {
-        Dealer::triple_word(self)
-    }
-    fn account(&mut self, edabits: u64, triple_words: u64) {
-        Dealer::account(self, edabits, triple_words)
-    }
-    fn stats(&self) -> DealerStats {
-        Dealer::stats(self)
-    }
-    fn edabit_block(&mut self, k: usize) -> EdaBitBlock {
-        Dealer::edabit_block(self, k)
-    }
-    fn triple_block(&mut self, k: usize) -> TripleBlock {
-        Dealer::triple_block(self, k)
-    }
-}
-
 /// Writes `n` additive shares of `value` into lane `lane` of `blk`, drawing
 /// from `rng` in the exact order of [`additive_shares`].
 fn fill_additive_lane(
@@ -390,38 +315,6 @@ mod tests {
             // And the streams stay aligned after mixed issuance.
             assert_eq!(scalar.edabit().arith, blocked.edabit().arith);
         }
-    }
-
-    #[test]
-    fn default_trait_block_packing_matches_the_direct_fill() {
-        // The DealSource default implementation (pack scalar draws) and the
-        // Dealer override (direct slab fill) must agree item for item.
-        struct Packed(Dealer);
-        impl DealSource for Packed {
-            fn num_parties(&self) -> usize {
-                self.0.num_parties()
-            }
-            fn edabit(&mut self) -> EdaBit {
-                self.0.edabit()
-            }
-            fn triple_word(&mut self) -> TripleWord {
-                self.0.triple_word()
-            }
-            fn account(&mut self, e: u64, t: u64) {
-                self.0.account(e, t)
-            }
-            fn stats(&self) -> DealerStats {
-                self.0.stats()
-            }
-        }
-        let mut packed = Packed(Dealer::new(3, 123));
-        let mut direct = Dealer::new(3, 123);
-        let (pe, de) = (packed.edabit_block(5), direct.edabit_block(5));
-        assert_eq!(pe.arith.to_words(), de.arith.to_words());
-        assert_eq!(pe.bits.to_words(), de.bits.to_words());
-        let (pt, dt) = (packed.triple_block(2), direct.triple_block(2));
-        assert_eq!(pt.c.to_words(), dt.c.to_words());
-        assert_eq!(packed.stats(), direct.stats());
     }
 
     #[test]

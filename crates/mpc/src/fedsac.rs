@@ -22,11 +22,10 @@ use crate::block::ShareBlock;
 use crate::compare::{
     account_less_than_zero_many, less_than_zero_many, CompareScratch, COMPARE_ROUNDS,
 };
-use crate::dealer::{DealSource, Dealer, DealerStats, EdaBit, TripleWord};
+use crate::dealer::{Dealer, DealerStats};
 use crate::duels::{validate, Duels};
 use crate::error::ProtocolError;
 use crate::net::{Mesh, MsgKind, NetStats, NetworkModel};
-use crate::pool::{PoolConfig, PoolStats, PooledDealer};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
@@ -103,61 +102,6 @@ pub struct Transcript {
     pub revealed_bits: Vec<bool>,
 }
 
-/// The preprocessing source an engine draws from: inline generation on the
-/// critical path, or the background-replenished pool. Static dispatch (an
-/// enum, not a `Box<dyn DealSource>`) keeps the kernels' inner loops
-/// monomorphized and the engine `Send`-friendly for the scheduler.
-#[derive(Debug)]
-enum EngineDealer {
-    Inline(Dealer),
-    Pooled(PooledDealer),
-}
-
-impl DealSource for EngineDealer {
-    fn num_parties(&self) -> usize {
-        match self {
-            EngineDealer::Inline(d) => d.num_parties(),
-            EngineDealer::Pooled(d) => DealSource::num_parties(d),
-        }
-    }
-    fn edabit(&mut self) -> EdaBit {
-        match self {
-            EngineDealer::Inline(d) => d.edabit(),
-            EngineDealer::Pooled(d) => d.edabit(),
-        }
-    }
-    fn triple_word(&mut self) -> TripleWord {
-        match self {
-            EngineDealer::Inline(d) => d.triple_word(),
-            EngineDealer::Pooled(d) => d.triple_word(),
-        }
-    }
-    fn account(&mut self, edabits: u64, triple_words: u64) {
-        match self {
-            EngineDealer::Inline(d) => d.account(edabits, triple_words),
-            EngineDealer::Pooled(d) => DealSource::account(d, edabits, triple_words),
-        }
-    }
-    fn stats(&self) -> DealerStats {
-        match self {
-            EngineDealer::Inline(d) => d.stats(),
-            EngineDealer::Pooled(d) => DealSource::stats(d),
-        }
-    }
-    fn edabit_block(&mut self, k: usize) -> crate::block::EdaBitBlock {
-        match self {
-            EngineDealer::Inline(d) => d.edabit_block(k),
-            EngineDealer::Pooled(d) => d.edabit_block(k),
-        }
-    }
-    fn triple_block(&mut self, k: usize) -> crate::block::TripleBlock {
-        match self {
-            EngineDealer::Inline(d) => d.triple_block(k),
-            EngineDealer::Pooled(d) => d.triple_block(k),
-        }
-    }
-}
-
 /// Buffers a `Real` execution works in, kept by the engine across calls
 /// so a batch-1 Fed-SAC allocates only its result bits and the dealer's
 /// blocks.
@@ -181,7 +125,7 @@ impl std::fmt::Debug for Scratch {
 pub struct SacEngine {
     backend: SacBackend,
     mesh: Mesh,
-    dealer: EngineDealer,
+    dealer: Dealer,
     /// Per-party randomness for input sharing.
     rngs: Vec<ChaCha12Rng>,
     invocations: u64,
@@ -195,40 +139,12 @@ pub struct SacEngine {
 }
 
 impl SacEngine {
-    /// Creates an engine for `num_parties` silos with inline preprocessing.
+    /// Creates an engine for `num_parties` silos.
     pub fn new(num_parties: usize, backend: SacBackend, seed: u64) -> Self {
-        Self::with_dealer(
-            num_parties,
-            backend,
-            seed,
-            EngineDealer::Inline(Dealer::new(num_parties, seed)),
-        )
-    }
-
-    /// Creates an engine drawing preprocessing from a background-replenished
-    /// [`PooledDealer`] instead of generating it inline on the query
-    /// critical path. Results are identical to [`Self::new`] (masking makes
-    /// them independent of the dealer randomness) and so are all reported
-    /// statistics — only wall-clock changes.
-    pub fn new_pooled(num_parties: usize, backend: SacBackend, seed: u64, cfg: PoolConfig) -> Self {
-        Self::with_dealer(
-            num_parties,
-            backend,
-            seed,
-            EngineDealer::Pooled(PooledDealer::new(num_parties, seed, cfg)),
-        )
-    }
-
-    fn with_dealer(
-        num_parties: usize,
-        backend: SacBackend,
-        seed: u64,
-        dealer: EngineDealer,
-    ) -> Self {
         SacEngine {
             backend,
             mesh: Mesh::new(num_parties),
-            dealer,
+            dealer: Dealer::new(num_parties, seed),
             rngs: (0..num_parties)
                 .map(|p| {
                     ChaCha12Rng::seed_from_u64(
@@ -241,15 +157,6 @@ impl SacEngine {
             baseline: SacStats::default(),
             transcript: None,
             scratch: Scratch::default(),
-        }
-    }
-
-    /// Live pool telemetry when this engine runs on a [`PooledDealer`];
-    /// `None` on inline preprocessing.
-    pub fn pool_stats(&self) -> Option<PoolStats> {
-        match &self.dealer {
-            EngineDealer::Inline(_) => None,
-            EngineDealer::Pooled(d) => Some(d.pool_stats()),
         }
     }
 
@@ -494,32 +401,6 @@ mod tests {
             );
         }
         assert_eq!(real.stats(), modeled.stats());
-    }
-
-    #[test]
-    fn pooled_engine_matches_inline_engine_exactly() {
-        // Same seed, same inputs: an engine on the background pool must
-        // produce the same bits *and* the same reported statistics as one
-        // generating preprocessing inline — the accounting-twin guarantee
-        // extended to the pooled dealer.
-        let mut rng = ChaCha12Rng::seed_from_u64(41);
-        let mut inline = SacEngine::new(3, SacBackend::Real, 17);
-        let mut pooled = SacEngine::new_pooled(3, SacBackend::Real, 17, PoolConfig::default());
-        let pairs: Vec<(Vec<u64>, Vec<u64>)> = (0..32)
-            .map(|_| {
-                (
-                    (0..3).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
-                    (0..3).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
-                )
-            })
-            .collect();
-        assert_eq!(
-            pooled.less_than_many(&pairs).unwrap(),
-            inline.less_than_many(&pairs).unwrap()
-        );
-        assert_eq!(pooled.stats(), inline.stats());
-        assert!(pooled.pool_stats().is_some());
-        assert!(inline.pool_stats().is_none());
     }
 
     #[test]

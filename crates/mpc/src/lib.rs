@@ -11,12 +11,12 @@
 //!
 //! * [`net`] — an in-process full-mesh party network with per-round
 //!   byte/message accounting and the paper's `R·(L + S/B)` time model.
-//! * [`dealer`] — trusted-dealer preprocessing: edaBits and packed binary
-//!   Beaver triples (the Temi offline phase's stand-in).
+//! * [`dealer`] — the one trusted dealer: edaBits and packed binary
+//!   Beaver triples (the Temi offline phase's stand-in), which every
+//!   kernel draws inline, on the calling thread, in a per-seed
+//!   deterministic order.
 //! * [`block`] — flat party-major struct-of-arrays lane buffers
 //!   ([`ShareBlock`]) backing the batched kernels.
-//! * [`pool`] — [`PooledDealer`]: background-replenished preprocessing
-//!   pools that move dealing off the online critical path.
 //! * [`binary`] — XOR-shared word gates; Beaver AND; a Kogge–Stone adder.
 //! * [`compare`] — masked-opening sign extraction (`8` online rounds).
 //! * [`duels`] — Fed-SAC input batches: the [`Duels`] read trait and the
@@ -59,7 +59,6 @@ pub mod error;
 pub mod fedsac;
 pub mod mac;
 pub mod net;
-pub mod pool;
 pub mod scheduler;
 pub mod threaded;
 
@@ -68,11 +67,9 @@ pub use audit::{
     BitReplaySimulator, TraceProfile,
 };
 pub use block::{EdaBitBlock, ShareBlock, TripleBlock};
-pub use dealer::DealSource;
 pub use duels::{DuelBuf, Duels};
 pub use error::ProtocolError;
 pub use fedsac::{SacBackend, SacEngine, SacStats, Transcript, FEDSAC_ROUNDS};
 pub use net::{Mesh, MsgKind, NetStats, NetworkModel, PartyId};
-pub use pool::{PoolConfig, PoolStats, PooledDealer};
 pub use scheduler::{BatchScheduler, DuelTicket, SacSession, SchedulerStats};
-pub use threaded::{run_comparisons, run_comparisons_from, run_comparisons_with_fault, PartyFault};
+pub use threaded::{run_comparisons, run_comparisons_with_fault, PartyFault};

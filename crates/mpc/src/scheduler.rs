@@ -243,19 +243,6 @@ impl BatchScheduler {
         }
     }
 
-    /// Live dealer-pool telemetry — `Some` only when the lockstep engine
-    /// was built with `SacEngine::new_pooled`; `None` on inline
-    /// preprocessing or the threaded backend.
-    pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        match &self.backend {
-            RoundBackend::Lockstep(engine) => engine
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .pool_stats(),
-            RoundBackend::Threaded { .. } => None,
-        }
-    }
-
     /// Registers a query with the barrier. The session participates in
     /// round scheduling until dropped; see the module-level liveness
     /// contract.
@@ -682,28 +669,6 @@ mod tests {
         );
         assert!(sched.sac_cumulative_stats().is_none());
         assert_eq!(sched.stats().rounds, 1);
-        assert!(sched.pool_stats().is_none());
-    }
-
-    #[test]
-    fn pooled_engine_behind_the_scheduler_matches_plain() {
-        use crate::pool::PoolConfig;
-        let sched = BatchScheduler::lockstep(SacEngine::new_pooled(
-            3,
-            SacBackend::Real,
-            23,
-            PoolConfig::default(),
-        ));
-        let session = sched.register();
-        let pairs = random_pairs(3, 9, 43);
-        assert_eq!(
-            session.compare_many(&pairs).expect("in-range comparison"),
-            plain_bits(&pairs)
-        );
-        let ps = sched.pool_stats().expect("pooled lockstep engine");
-        assert!(ps.refills >= 1);
-        let sac = sched.sac_cumulative_stats().expect("lockstep backend");
-        assert_eq!(sac.dealer.edabits, 9);
     }
 
     #[test]

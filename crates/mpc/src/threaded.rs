@@ -14,7 +14,7 @@
 // never a panic (see fedroad-lint rule `no-panic-hot-path`).
 #![deny(clippy::unwrap_used)]
 
-use crate::dealer::{additive_shares, DealSource, Dealer};
+use crate::dealer::{additive_shares, Dealer};
 use crate::error::ProtocolError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::SeedableRng;
@@ -43,14 +43,14 @@ impl std::fmt::Debug for PartyMaterial {
     }
 }
 
-/// Distributes preprocessing from any [`DealSource`] (inline dealer or
-/// background pool): `out[p][i]` is party `p`'s slice for comparison `i`.
-fn deal(source: &mut impl DealSource, comparisons: usize) -> Vec<Vec<PartyMaterial>> {
-    let num_parties = source.num_parties();
+/// Distributes preprocessing from `dealer`: `out[p][i]` is party `p`'s
+/// slice for comparison `i`.
+fn deal(dealer: &mut Dealer, comparisons: usize) -> Vec<Vec<PartyMaterial>> {
+    let num_parties = dealer.num_parties();
     let mut out: Vec<Vec<PartyMaterial>> = vec![Vec::with_capacity(comparisons); num_parties];
     for _ in 0..comparisons {
-        let eda = source.edabit();
-        let triples: Vec<_> = (0..12).map(|_| source.triple_word()).collect();
+        let eda = dealer.edabit();
+        let triples: Vec<_> = (0..12).map(|_| dealer.triple_word()).collect();
         for (p, slot) in out.iter_mut().enumerate() {
             slot.push(PartyMaterial {
                 eda_arith: eda.arith[p],
@@ -258,21 +258,6 @@ pub fn run_comparisons_with_fault(
     run_with_material(num_parties, inputs, material, seed, fault)
 }
 
-/// [`run_comparisons`] drawing preprocessing from an arbitrary
-/// [`DealSource`] — e.g. a [`crate::pool::PooledDealer`] replenished in the
-/// background — instead of an inline dealer constructed per run. The input
-/// sharing still derives from `input_seed`.
-pub fn run_comparisons_from(
-    source: &mut impl DealSource,
-    inputs: &[(Vec<u64>, Vec<u64>)],
-    input_seed: u64,
-) -> Result<Vec<bool>, ProtocolError> {
-    let num_parties = source.num_parties();
-    validate_inputs(num_parties, inputs)?;
-    let material = deal(source, inputs.len());
-    run_with_material(num_parties, inputs, material, input_seed, None)
-}
-
 fn validate_inputs(
     num_parties: usize,
     inputs: &[(Vec<u64>, Vec<u64>)],
@@ -415,28 +400,6 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         assert!(run_comparisons(4, &[], 3).unwrap().is_empty());
-    }
-
-    #[test]
-    fn pooled_source_drives_the_threaded_runner() {
-        use crate::pool::{PoolConfig, PooledDealer};
-        let inputs = random_inputs(3, 25, 37);
-        let mut pool = PooledDealer::new(
-            3,
-            55,
-            PoolConfig {
-                edabit_capacity: 4,
-                edabit_low: 1,
-                triple_capacity: 32,
-                triple_low: 8,
-            },
-        );
-        let bits = run_comparisons_from(&mut pool, &inputs, 61).unwrap();
-        for ((a, b), bit) in inputs.iter().zip(&bits) {
-            assert_eq!(*bit, a.iter().sum::<u64>() < b.iter().sum::<u64>());
-        }
-        assert_eq!(pool.stats().edabits, 25);
-        assert_eq!(pool.stats().triple_words, 25 * 12);
     }
 
     #[test]

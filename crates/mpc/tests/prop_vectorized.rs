@@ -1,12 +1,11 @@
 //! Differential suite: the vectorized flat-slab kernels against their
-//! scalar `Vec<SharedWord>` references, and the pooled dealer against the
-//! inline dealer.
+//! scalar `Vec<SharedWord>` references.
 //!
 //! The vectorized paths must be **bit-identical** to the scalar ones — same
 //! result bits, same opened values, same network accounting, same dealer
 //! stream consumption — across party counts 2–5 and batch sizes 0–512.
 //! That equality is what lets `compare_bench` attribute every speedup to
-//! memory layout and pooling rather than to a protocol change.
+//! memory layout rather than to a protocol change.
 
 use fedroad_mpc::binary::{
     add_public_block, add_public_many_scalar, and_block, and_many_scalar, AdderScratch, AndScratch,
@@ -14,8 +13,7 @@ use fedroad_mpc::binary::{
 };
 use fedroad_mpc::compare::{less_than_zero_many, less_than_zero_many_scalar, CompareScratch};
 use fedroad_mpc::dealer::{reconstruct_additive, reconstruct_xor, xor_shares, Dealer};
-use fedroad_mpc::pool::{PoolConfig, PooledDealer};
-use fedroad_mpc::{Mesh, SacBackend, SacEngine, ShareBlock};
+use fedroad_mpc::{Mesh, ShareBlock};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -156,34 +154,6 @@ proptest! {
             prop_assert_eq!(reconstruct_xor(sum), public.wrapping_add(secret));
         }
     }
-
-    /// The accounting-twin guarantee extended to the pooled dealer: a
-    /// pooled engine and an inline engine on the same seed report the same
-    /// bits and the same statistics, whatever the pool sizing.
-    #[test]
-    fn pooled_engine_is_an_exact_accounting_twin(
-        pairs in proptest::collection::vec(
-            (proptest::collection::vec(0u64..(1u64 << 45), 3),
-             proptest::collection::vec(0u64..(1u64 << 45), 3)),
-            1..24,
-        ),
-        edabit_capacity in 2usize..64,
-        seed: u64,
-    ) {
-        let cfg = PoolConfig {
-            edabit_capacity,
-            edabit_low: edabit_capacity / 2,
-            triple_capacity: edabit_capacity * 12,
-            triple_low: edabit_capacity * 6,
-        };
-        let mut inline = SacEngine::new(3, SacBackend::Real, seed);
-        let mut pooled = SacEngine::new_pooled(3, SacBackend::Real, seed, cfg);
-        prop_assert_eq!(
-            pooled.less_than_many(&pairs).unwrap(),
-            inline.less_than_many(&pairs).unwrap()
-        );
-        prop_assert_eq!(pooled.stats(), inline.stats());
-    }
 }
 
 #[test]
@@ -226,22 +196,4 @@ fn empty_batches_agree_across_every_kernel_pair() {
     assert_eq!(mesh.stats().rounds, 0);
     assert_eq!(mesh.stats().bytes, 0);
     assert_eq!(dealer.stats().triple_words, 0);
-}
-
-#[test]
-fn pooled_and_inline_threaded_runs_agree() {
-    use fedroad_mpc::threaded::{run_comparisons, run_comparisons_from};
-    let mut rng = ChaCha12Rng::seed_from_u64(7);
-    let inputs: Vec<(Vec<u64>, Vec<u64>)> = (0..40)
-        .map(|_| {
-            (
-                (0..3).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
-                (0..3).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
-            )
-        })
-        .collect();
-    let inline_bits = run_comparisons(3, &inputs, 13).unwrap();
-    let mut pool = PooledDealer::new(3, 13, PoolConfig::default());
-    let pooled_bits = run_comparisons_from(&mut pool, &inputs, 13).unwrap();
-    assert_eq!(inline_bits, pooled_bits);
 }

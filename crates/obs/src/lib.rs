@@ -54,9 +54,8 @@ pub use metrics::{
     METRICS_SCHEMA, QUANTILE_MAX_RELATIVE_ERROR,
 };
 pub use recorder::{
-    counter_add, counter_value, current_tid, disable, enable, events_since, gauge_add, gauge_set,
-    gauge_sub, gauge_value, hist_record, instant, is_active, is_enabled, mark, now_ns, reset,
-    snapshot, span, span_begin, span_end, thread_events_since, EventKind, HistBucket, ObsValue,
-    Snapshot, SpanGuard, TraceEvent,
+    capture, counter_add, counter_value, current_tid, disable, enable, gauge_add, gauge_set,
+    gauge_sub, gauge_value, hist_record, instant, is_active, is_enabled, now_ns, reset, snapshot,
+    span, span_begin, span_end, EventKind, HistBucket, ObsValue, Snapshot, SpanGuard, TraceEvent,
 };
 pub use trace::{QueryTotals, QueryTrace};

@@ -1,14 +1,17 @@
 //! The global recorder: spans, monotonic counters, gauges, log2
 //! histograms.
 //!
-//! All state lives behind one [`Mutex`] guarded by a relaxed atomic
-//! sink-mask fast path, so a fully disabled recorder costs one atomic load
-//! per call site. Timeline events fan out to up to two sinks — the
-//! aggregate recorder and the [`crate::flight`] ring buffers — selected by
-//! independent bits of the mask. Timestamps are nanoseconds since a
-//! process-wide anchor (`Instant`-based, monotonic); thread ids are small
-//! per-process indices so Chrome-trace nesting validates per thread.
+//! All aggregate state lives behind one [`Mutex`] guarded by a relaxed
+//! atomic sink-mask fast path, so a fully disabled recorder costs one
+//! atomic load per call site. Timeline events go only to the
+//! [`crate::flight`] ring buffers and, while the recorder is enabled, to
+//! the calling thread's open [`capture`] scope; outside a scope an enabled
+//! recorder keeps aggregates only, so its memory does not grow with the
+//! length of a run. Timestamps are nanoseconds since a process-wide anchor
+//! (`Instant`-based, monotonic); thread ids are small per-process indices
+//! so Chrome-trace nesting validates per thread.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -97,8 +100,6 @@ pub struct Snapshot {
     /// Raw value sums per histogram, aligned name-for-name with
     /// [`Snapshot::histograms`] (Prometheus `_sum` / mean estimation).
     pub histogram_sums: Vec<(String, u64)>,
-    /// Timeline events recorded so far.
-    pub num_events: usize,
 }
 
 /// Aggregate state of one log2 histogram: per-bucket counts plus the raw
@@ -121,7 +122,6 @@ impl Default for HistState {
 
 #[derive(Default)]
 struct State {
-    events: Vec<TraceEvent>,
     counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, HistState>,
@@ -137,6 +137,8 @@ static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+    /// The calling thread's open [`capture`] buffer, if any.
+    static CAPTURE: RefCell<Option<Vec<TraceEvent>>> = const { RefCell::new(None) };
 }
 
 fn state() -> MutexGuard<'static, State> {
@@ -164,7 +166,8 @@ pub fn current_tid() -> u64 {
     TID.with(|t| *t)
 }
 
-/// Turns recording on. Events/metrics accumulate until [`reset`].
+/// Turns recording on. Metrics accumulate until [`reset`]; timeline
+/// events reach only open [`capture`] scopes (and the flight ring).
 pub fn enable() {
     // Pin the time anchor no later than the first enable.
     let _ = anchor();
@@ -211,11 +214,10 @@ pub(crate) fn set_flight_sink(on: bool) {
     }
 }
 
-/// Clears all recorded events, counters, gauges, and histograms (the
-/// enabled flag is left as-is).
+/// Clears all counters, gauges, and histograms (the enabled flag is left
+/// as-is).
 pub fn reset() {
     let mut s = state();
-    s.events.clear();
     s.counters.clear();
     s.gauges.clear();
     s.histograms.clear();
@@ -291,6 +293,11 @@ pub fn hist_record(name: &'static str, value: u64) {
 
 fn push_event(kind: EventKind, name: &'static str, args: &[(&'static str, ObsValue)]) {
     let mask = SINKS.load(Ordering::Acquire);
+    let to_flight = mask & SINK_FLIGHT != 0;
+    let to_capture = mask & SINK_RECORDER != 0 && CAPTURE.with_borrow(Option::is_some);
+    if !to_flight && !to_capture {
+        return;
+    }
     let ev = TraceEvent {
         ts_ns: now_ns(),
         tid: current_tid(),
@@ -298,11 +305,15 @@ fn push_event(kind: EventKind, name: &'static str, args: &[(&'static str, ObsVal
         name,
         args: args.to_vec(),
     };
-    if mask & SINK_FLIGHT != 0 {
+    if to_flight {
         crate::flight::record(&ev);
     }
-    if mask & SINK_RECORDER != 0 {
-        state().events.push(ev);
+    if to_capture {
+        CAPTURE.with_borrow_mut(|buf| {
+            if let Some(buf) = buf {
+                buf.push(ev);
+            }
+        });
     }
 }
 
@@ -361,31 +372,41 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard { name: Some(name) }
 }
 
-/// A capture point: the current timeline length. Pass to [`events_since`]
-/// / [`thread_events_since`] to extract everything recorded afterwards.
-pub fn mark() -> usize {
-    state().events.len()
-}
-
-/// Clones every event recorded at or after `mark` (all threads).
-pub fn events_since(mark: usize) -> Vec<TraceEvent> {
-    let s = state();
-    s.events.get(mark..).unwrap_or(&[]).to_vec()
-}
-
-/// Clones the calling thread's events recorded at or after `mark` — the
-/// capture primitive for per-query traces (other threads' concurrent
-/// recordings don't leak into the query timeline).
-pub fn thread_events_since(mark: usize) -> Vec<TraceEvent> {
-    let tid = current_tid();
-    let s = state();
-    s.events
-        .get(mark..)
-        .unwrap_or(&[])
-        .iter()
-        .filter(|e| e.tid == tid)
-        .cloned()
-        .collect()
+/// Runs `f` and returns, next to its result, the timeline events the
+/// calling thread recorded while it ran — the capture primitive for
+/// per-query traces. Events reach the scope only while the recorder is
+/// enabled; other threads' events never do. A scope nested inside another
+/// passes its events on to the outer one as well.
+pub fn capture<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceEvent>) {
+    /// Closes the scope even when `f` unwinds, so a panicking capture
+    /// leaves no buffer behind to grow. Holds the enclosing scope's buffer
+    /// until it closes.
+    struct Scope(Option<Option<Vec<TraceEvent>>>);
+    impl Scope {
+        fn close(&mut self) -> Vec<TraceEvent> {
+            let Some(outer) = self.0.take() else {
+                return Vec::new();
+            };
+            let events = CAPTURE
+                .with_borrow_mut(|buf| std::mem::replace(buf, outer))
+                .unwrap_or_default();
+            CAPTURE.with_borrow_mut(|buf| {
+                if let Some(outer) = buf {
+                    outer.extend_from_slice(&events);
+                }
+            });
+            events
+        }
+    }
+    impl Drop for Scope {
+        fn drop(&mut self) {
+            self.close();
+        }
+    }
+    let mut scope = Scope(Some(CAPTURE.with_borrow_mut(|buf| buf.replace(Vec::new()))));
+    let result = f();
+    let events = scope.close();
+    (result, events)
 }
 
 /// Copies out every aggregate metric.
@@ -425,7 +446,6 @@ pub fn snapshot() -> Snapshot {
             .iter()
             .map(|(name, h)| (name.to_string(), h.sum))
             .collect(),
-        num_events: s.events.len(),
     }
 }
 
@@ -452,9 +472,11 @@ pub(crate) mod tests {
             hist_record("h", 9);
             gauge_set("g", 7);
             gauge_add("g", 2);
-            instant("i", &[]);
-            let _s = span("s");
-            drop(_s);
+            let ((), events) = capture(|| {
+                instant("i", &[]);
+                let _s = span("s");
+            });
+            assert!(events.is_empty());
             assert_eq!(counter_value("c"), 0);
             assert_eq!(gauge_value("g"), 0);
             let snap = snapshot();
@@ -462,7 +484,6 @@ pub(crate) mod tests {
             assert!(snap.gauges.is_empty());
             assert!(snap.histograms.is_empty());
             assert!(snap.histogram_sums.is_empty());
-            assert_eq!(snap.num_events, 0);
         });
     }
 
@@ -541,13 +562,11 @@ pub(crate) mod tests {
     fn spans_nest_and_marks_capture() {
         with_recorder_lock(|| {
             enable();
-            let m = mark();
-            {
+            let ((), events) = capture(|| {
                 let _outer = span("outer");
                 instant("tick", &[("n", ObsValue::Count(1))]);
                 let _inner = span("inner");
-            }
-            let events = thread_events_since(m);
+            });
             let shape: Vec<(EventKind, &str)> = events.iter().map(|e| (e.kind, e.name)).collect();
             assert_eq!(
                 shape,
@@ -560,6 +579,26 @@ pub(crate) mod tests {
                 ]
             );
             assert!(events.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+        });
+    }
+
+    #[test]
+    fn capture_scopes_nest_and_close_on_unwind() {
+        with_recorder_lock(|| {
+            enable();
+            instant("before", &[]);
+            let (inner, outer) = capture(|| {
+                instant("outer", &[]);
+                capture(|| instant("inner", &[])).1
+            });
+            instant("after", &[]);
+            let names = |events: &[TraceEvent]| events.iter().map(|e| e.name).collect::<Vec<_>>();
+            assert_eq!(names(&inner), ["inner"]);
+            assert_eq!(names(&outer), ["outer", "inner"]);
+
+            let unwound = std::panic::catch_unwind(|| capture(|| panic!("query failed")));
+            assert!(unwound.is_err());
+            assert!(CAPTURE.with_borrow(Option::is_none));
         });
     }
 

@@ -37,9 +37,6 @@ cargo run -q -p fedroad-lint -- --sarif-out target/lint.sarif
 # linter exit non-zero; `binary_exit_codes_match` in
 # crates/lint/tests/self_test.rs asserts that as part of `cargo test -q`.
 
-echo "==> differential token-vs-AST gate"
-cargo run -q -p fedroad-lint -- --differential
-
 echo "==> cargo test -q"
 cargo test -q
 
@@ -98,8 +95,6 @@ cargo run -q --release -p fedroad-bench --bin obs_diff -- \
 #     -p fedroad-mpc threaded
 #   cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
 #     -p fedroad-mpc scheduler
-#   cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-#     -p fedroad-mpc --test pool_watchdog
 #   cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
 #     --test batch_equals_sequential --test obs_trace_end_to_end
 #

@@ -130,7 +130,7 @@ fn compare_bench_runs_and_writes_schema_checked_records() {
         fedroad_bench::comparebench::BATCH_SIZES.len()
     );
     for row in &report.rows {
-        assert!(row.scalar_cps > 0.0 && row.vectorized_cps > 0.0 && row.pooled_cps > 0.0);
+        assert!(row.scalar_cps > 0.0 && row.vectorized_cps > 0.0);
         assert_eq!(row.comparisons, (row.reps * row.batch) as u64);
         assert_eq!(row.edabits, row.comparisons);
         assert_eq!(row.triple_words, row.comparisons * 12);
