@@ -5,7 +5,7 @@
 //!
 //! * **scalar** — the original per-gate `Vec<SharedWord>` kernels
 //!   ([`less_than_zero_many_scalar`]) with an inline dealer,
-//! * **vectorized** — the flat party-major [`ShareBlock`](fedroad_mpc::ShareBlock)
+//! * **vectorized** — the flat party-major [`ShareBlock`]
 //!   kernels with an inline dealer.
 //!
 //! Every row cross-checks that both arms reveal identical bits and

@@ -2,7 +2,8 @@
 //!
 //! A seeded [`CongestionWave`] random-walks across CAL-S emitting per-silo
 //! weight updates; each tick is batched into one `customize` epoch, and
-//! every epoch publishes a fresh [`IndexSnapshot`] through a
+//! every epoch publishes a fresh
+//! [`IndexSnapshot`](fedroad_core::IndexSnapshot) through a
 //! [`SnapshotCell`] while a [`LiveExecutor`] worker pool keeps answering
 //! queries — in-flight queries drain on the snapshot they started with,
 //! new ones pick up the new epoch (§IV "Federated Index Updating" under

@@ -309,8 +309,6 @@ impl QueryEngine {
 
     /// Answers a single-pair shortest-path query.
     pub fn spsp(&self, fed: &mut Federation, s: VertexId, t: VertexId) -> QueryResult {
-        // Cumulative (not windowed) snapshots: the delta stays correct even
-        // if the caller calls `reset_stats` between queries.
         let before = fed.sac_cumulative_stats();
         let start = Instant::now();
         let _span = fedroad_obs::span("query.spsp");

@@ -16,10 +16,10 @@
 //!   threads query it concurrently without touching the mutable
 //!   [`Federation`](crate::federation::Federation). Its `run_spsp` is the
 //!   one query dispatch every caller goes through.
-//! * [`SessionComparator`] *(internal)* — per-query session state: a
-//!   [`JointComparator`] that routes every ready comparison through a
-//!   shared [`BatchScheduler`], where duels from many in-flight queries
-//!   coalesce into one protocol round.
+//! * [`SacComparator::session`] — each query's comparator: the same
+//!   [`SacComparator`] the sequential path uses, routing every ready
+//!   comparison through a shared [`BatchScheduler`] session, where duels
+//!   from many in-flight queries coalesce into one protocol round.
 //! * [`LiveExecutor`] — the worker pool: N queries, W workers, one
 //!   scheduler, each query answered by whatever snapshot a
 //!   [`SnapshotCell`] holds when it starts.
@@ -41,13 +41,12 @@ use crate::lb::{
     FedAltMaxPotential, FedAltPotential, FedAmpsPotential, FedPotential, LandmarkPartials,
     LowerBoundKind, ZeroFedPotential,
 };
-use crate::partials::{ring_words, JointComparator, PartialKey};
+use crate::partials::{JointComparator, SacComparator};
 use crate::spsp::{fed_spsp, SpspOutcome};
 use crate::view::{BaseView, SearchView};
 use fedroad_graph::landmarks::LandmarkTable;
 use fedroad_graph::{Graph, VertexId};
-use fedroad_mpc::{BatchScheduler, DuelBuf, DuelTicket, SacSession, SacStats, SchedulerStats};
-use fedroad_queue::DuelBatch;
+use fedroad_mpc::{BatchScheduler, SacStats, SchedulerStats};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -139,95 +138,6 @@ impl IndexSnapshot {
             self.config.queue,
             cmp,
         )
-    }
-}
-
-/// Per-query session state: a [`JointComparator`] whose every decision is
-/// a *request* to the shared [`BatchScheduler`], so ready duels from many
-/// in-flight queries coalesce into one protocol round. Mirrors
-/// [`SacComparator`](crate::partials::SacComparator)'s batching semantics
-/// exactly (same requests in the same order), which is what makes batch
-/// execution bit-identical to sequential.
-struct SessionComparator<'s> {
-    session: &'s SacSession<'s>,
-    batched: bool,
-    invocations: u64,
-    /// Every request's duels, shifted into the ring; refilled per request.
-    duels: DuelBuf,
-    /// Deferred batches' tickets; `DuelBatch::Deferred(i)` is slot `i`.
-    deferred: Vec<Option<DuelTicket>>,
-}
-
-impl<'s> SessionComparator<'s> {
-    fn new(session: &'s SacSession<'s>, num_silos: usize, batched: bool) -> Self {
-        SessionComparator {
-            session,
-            batched,
-            invocations: 0,
-            duels: DuelBuf::new(num_silos),
-            deferred: Vec::new(),
-        }
-    }
-
-    /// Refills the duel buffer with `pairs` and counts them.
-    fn load(&mut self, pairs: &[(&PartialKey, &PartialKey)]) {
-        self.invocations += pairs.len() as u64;
-        self.duels.clear();
-        for (a, b) in pairs {
-            self.duels
-                .push(ring_words(a), ring_words(b))
-                .expect("keys carry one partial cost per silo");
-        }
-    }
-
-    fn compare_now(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> Vec<bool> {
-        self.load(pairs);
-        self.session
-            .compare_many(&self.duels)
-            .expect("scheduler-backed Fed-SAC cannot fail on range-checked keys")
-    }
-}
-
-impl JointComparator for SessionComparator<'_> {
-    fn less(&mut self, a: &PartialKey, b: &PartialKey) -> bool {
-        debug_assert_eq!(a.len(), b.len());
-        self.compare_now(&[(a, b)])[0]
-    }
-
-    fn less_batch(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> Vec<bool> {
-        if !self.batched || pairs.len() <= 1 {
-            return pairs.iter().map(|(a, b)| self.less(a, b)).collect();
-        }
-        self.compare_now(pairs)
-    }
-
-    fn submit_batch(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> DuelBatch {
-        if !self.batched || pairs.len() <= 1 {
-            return DuelBatch::Ready(self.less_batch(pairs));
-        }
-        self.load(pairs);
-        self.deferred.push(Some(self.session.submit(&self.duels)));
-        DuelBatch::Deferred((self.deferred.len() - 1) as u64)
-    }
-
-    fn resolve_batch(&mut self, batch: DuelBatch) -> Vec<bool> {
-        match batch {
-            DuelBatch::Ready(bits) => bits,
-            DuelBatch::Deferred(slot) => {
-                let ticket = self
-                    .deferred
-                    .get_mut(slot as usize)
-                    .and_then(Option::take)
-                    .expect("deferred ticket issued by this comparator");
-                // Trim redeemed slots off the end so slot numbers restart.
-                while let Some(None) = self.deferred.last() {
-                    self.deferred.pop();
-                }
-                self.session
-                    .wait(ticket)
-                    .expect("scheduler-backed Fed-SAC cannot fail on range-checked keys")
-            }
-        }
     }
 }
 
@@ -353,11 +263,13 @@ fn run_one_on(
 ) -> QueryResult {
     let start = Instant::now();
     let session = scheduler.register();
-    let mut cmp =
-        SessionComparator::new(&session, snapshot.num_silos(), snapshot.config.batch_rounds);
+    let mut cmp = SacComparator::session(&session, snapshot.num_silos());
+    if snapshot.config.batch_rounds {
+        cmp = cmp.with_batching();
+    }
     let outcome = snapshot.run_spsp(s, t, &mut cmp);
     let stats = QueryStats {
-        sac_invocations: cmp.invocations,
+        sac_invocations: cmp.invocations(),
         // Per-query round/byte attribution is undefined under
         // cross-query coalescing (a merged round belongs to every
         // query it carries); see the aggregate BatchReport.

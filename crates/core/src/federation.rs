@@ -152,13 +152,8 @@ impl Federation {
         (&self.graph, &self.silos, &mut self.engine)
     }
 
-    /// Statistics accumulated by the engine so far.
-    pub fn sac_stats(&self) -> SacStats {
-        self.engine.stats()
-    }
-
-    /// Monotonic engine statistics, unaffected by `reset_stats` windows —
-    /// before/after snapshots around a query always subtract to a valid
+    /// Engine statistics since construction. The counters are monotonic,
+    /// so before/after snapshots around a query always subtract to a valid
     /// per-query delta.
     pub fn sac_cumulative_stats(&self) -> SacStats {
         self.engine.cumulative_stats()

@@ -575,7 +575,7 @@ mod tests {
     fn fed_alt_spends_l_minus_1_sacs_per_estimation() {
         let mut fed = make_fed(9);
         let tables = build_tables(&mut fed, 5);
-        let before = fed.sac_stats().invocations;
+        let before = fed.sac_cumulative_stats().invocations;
         {
             let (_, _, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);
@@ -584,7 +584,7 @@ mod tests {
             // Memoized second call: no extra SACs.
             alt.toward_target(VertexId(10), &mut cmp);
         }
-        assert_eq!(fed.sac_stats().invocations - before, 4);
+        assert_eq!(fed.sac_cumulative_stats().invocations - before, 4);
     }
 
     #[test]
@@ -593,7 +593,7 @@ mod tests {
         let tables = build_tables(&mut fed, 5);
         let static_table =
             LandmarkTable::compute(fed.graph(), fed.graph().static_weights(), &tables.landmarks);
-        let before = fed.sac_stats().invocations;
+        let before = fed.sac_cumulative_stats().invocations;
         {
             let (_, _, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);
@@ -601,6 +601,6 @@ mod tests {
             p.toward_target(VertexId(10), &mut cmp);
             p.from_source(VertexId(20), &mut cmp);
         }
-        assert_eq!(fed.sac_stats().invocations, before);
+        assert_eq!(fed.sac_cumulative_stats().invocations, before);
     }
 }

@@ -7,7 +7,7 @@
 //! normally Fed-SAC, but in the §VII simulation test a bit-replay stub that
 //! proves control flow depends only on the revealed comparison results.
 
-use fedroad_mpc::{BitReplaySimulator, SacEngine};
+use fedroad_mpc::{BitReplaySimulator, DuelBuf, DuelTicket, SacEngine, SacSession};
 use fedroad_queue::DuelBatch;
 
 /// Per-silo signed key values. Signed because A* keys fold in landmark
@@ -58,20 +58,35 @@ pub trait JointComparator {
     }
 }
 
-/// The production comparator: every call is one Fed-SAC invocation.
+/// The production comparator: every request is one Fed-SAC execution.
+///
+/// Requests go to one of two targets. An engine target
+/// ([`Self::new`]) executes each request on a [`SacEngine`] at once. A
+/// session target ([`Self::session`]) hands each request to a shared
+/// [`BatchScheduler`](fedroad_mpc::BatchScheduler), where ready duels from
+/// many in-flight queries coalesce into one protocol round, and lets
+/// [`JointComparator::submit_batch`] defer. Both targets receive the same
+/// requests in the same order from this one piece of code, which is what
+/// makes batch execution bit-identical to sequential.
 pub struct SacComparator<'e> {
-    engine: &'e mut SacEngine,
+    target: Target<'e>,
     batched: bool,
+    invocations: u64,
+    /// Every request's duels, shifted into the ring; refilled per request.
+    duels: DuelBuf,
+    /// Deferred batches' tickets; `DuelBatch::Deferred(i)` is slot `i`.
+    deferred: Vec<Option<DuelTicket>>,
+}
+
+/// Where a [`SacComparator`] sends its requests.
+enum Target<'e> {
+    Engine(&'e mut SacEngine),
+    Session(&'e SacSession<'e>),
 }
 
 /// Shifts a signed per-silo key into the unsigned Fed-SAC ring (the
-/// uniform [`KEY_OFFSET`] cancels in every comparison).
-pub(crate) fn to_ring(k: &PartialKey) -> Vec<u64> {
-    ring_words(k).collect()
-}
-
-/// [`to_ring`] without the allocation: the shifted words one by one.
-pub(crate) fn ring_words(k: &PartialKey) -> impl Iterator<Item = u64> + '_ {
+/// uniform [`KEY_OFFSET`] cancels in every comparison), word by word.
+fn ring_words(k: &PartialKey) -> impl Iterator<Item = u64> + '_ {
     k.iter().map(|&v| {
         debug_assert!(v > -KEY_OFFSET && v < KEY_OFFSET, "key {v} out of range");
         (v + KEY_OFFSET) as u64
@@ -82,9 +97,23 @@ impl<'e> SacComparator<'e> {
     /// Wraps an MPC engine (one protocol execution per comparison, the
     /// paper-faithful accounting).
     pub fn new(engine: &'e mut SacEngine) -> Self {
+        let num_silos = engine.num_parties();
+        SacComparator::with_target(Target::Engine(engine), num_silos)
+    }
+
+    /// Routes every request through a scheduler session for a federation
+    /// of `num_silos` silos.
+    pub fn session(session: &'e SacSession<'e>, num_silos: usize) -> Self {
+        SacComparator::with_target(Target::Session(session), num_silos)
+    }
+
+    fn with_target(target: Target<'e>, num_silos: usize) -> Self {
         SacComparator {
-            engine,
+            target,
             batched: false,
+            invocations: 0,
+            duels: DuelBuf::new(num_silos),
+            deferred: Vec::new(),
         }
     }
 
@@ -95,31 +124,77 @@ impl<'e> SacComparator<'e> {
         self
     }
 
-    /// The wrapped engine (for reading statistics mid-flight).
-    pub fn engine(&self) -> &SacEngine {
-        self.engine
+    /// Comparisons decided so far.
+    pub(crate) fn invocations(&self) -> u64 {
+        self.invocations
+    }
+
+    /// Refills the duel buffer with `pairs` and counts them.
+    fn load(&mut self, pairs: &[(&PartialKey, &PartialKey)]) {
+        self.invocations += pairs.len() as u64;
+        self.duels.clear();
+        for (a, b) in pairs {
+            self.duels
+                .push(ring_words(a), ring_words(b))
+                .expect("keys carry one partial cost per silo");
+        }
+    }
+
+    /// Executes `pairs` as one request and waits for the bits.
+    fn compare_now(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> Vec<bool> {
+        self.load(pairs);
+        match &mut self.target {
+            Target::Engine(engine) => engine.less_than_many(&self.duels),
+            Target::Session(session) => session.compare_many(&self.duels),
+        }
+        .expect("Fed-SAC cannot fail on range-checked keys")
     }
 }
 
 impl JointComparator for SacComparator<'_> {
     fn less(&mut self, a: &PartialKey, b: &PartialKey) -> bool {
         debug_assert_eq!(a.len(), b.len());
-        self.engine
-            .less_than(&to_ring(a), &to_ring(b))
-            .expect("in-process Fed-SAC cannot fail on range-checked keys")
+        self.compare_now(&[(a, b)])[0]
     }
 
     fn less_batch(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> Vec<bool> {
         if !self.batched || pairs.len() <= 1 {
             return pairs.iter().map(|(a, b)| self.less(a, b)).collect();
         }
-        let ring_pairs: Vec<(Vec<u64>, Vec<u64>)> = pairs
-            .iter()
-            .map(|(a, b)| (to_ring(a), to_ring(b)))
-            .collect();
-        self.engine
-            .less_than_many(&ring_pairs)
-            .expect("in-process Fed-SAC cannot fail on range-checked keys")
+        self.compare_now(pairs)
+    }
+
+    fn submit_batch(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> DuelBatch {
+        let session = match self.target {
+            Target::Session(session) if self.batched && pairs.len() > 1 => session,
+            _ => return DuelBatch::Ready(self.less_batch(pairs)),
+        };
+        self.load(pairs);
+        self.deferred.push(Some(session.submit(&self.duels)));
+        DuelBatch::Deferred((self.deferred.len() - 1) as u64)
+    }
+
+    fn resolve_batch(&mut self, batch: DuelBatch) -> Vec<bool> {
+        match (batch, &self.target) {
+            (DuelBatch::Ready(bits), _) => bits,
+            (DuelBatch::Deferred(slot), Target::Session(session)) => {
+                let ticket = self
+                    .deferred
+                    .get_mut(slot as usize)
+                    .and_then(Option::take)
+                    .expect("deferred ticket issued by this comparator");
+                // Trim redeemed slots off the end so slot numbers restart.
+                while let Some(None) = self.deferred.last() {
+                    self.deferred.pop();
+                }
+                session
+                    .wait(ticket)
+                    .expect("Fed-SAC cannot fail on range-checked keys")
+            }
+            (DuelBatch::Deferred(_), Target::Engine(_)) => {
+                unreachable!("an engine-backed comparator never defers")
+            }
+        }
     }
 }
 

@@ -967,7 +967,7 @@ mod tests {
     #[test]
     fn source_equals_target_costs_nothing() {
         let mut fed = make_fed(27, 2, SacBackend::Real);
-        let before = fed.sac_stats().invocations;
+        let before = fed.sac_cumulative_stats().invocations;
         let (g, silos, engine) = fed.split_mut();
         let mut cmp = SacComparator::new(engine);
         let mut zero = ZeroFedPotential::new(2);
@@ -981,6 +981,6 @@ mod tests {
             &mut cmp,
         );
         assert_eq!(out.path.unwrap().hops(), 0);
-        assert_eq!(fed.sac_stats().invocations, before);
+        assert_eq!(fed.sac_cumulative_stats().invocations, before);
     }
 }

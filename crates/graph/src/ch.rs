@@ -1,25 +1,17 @@
-//! Local contraction hierarchies (CH) — the shortcut index of Geisberger et
-//! al. that the paper's federated shortcut index (§IV) builds upon.
+//! The contraction order of the paper's federated shortcut index (§IV).
 //!
-//! Two pieces live here because they are shared with the federated variant
-//! in `fedroad-core`:
-//!
-//! * [`contraction_order`] — a **weight-independent** vertex ordering. The
-//!   paper requires the contracted vertex set/order to be "independent of
-//!   the edge weights" so every silo derives it locally from the public
-//!   topology with zero communication. We use minimum-degree simulation
-//!   with deterministic tie-breaking.
-//! * [`ChIndex`] / [`build_ch`] / [`ChIndex::spsp`] — a complete local CH:
-//!   contraction with exact witness searches, upward-arc storage, the
-//!   bidirectional upward query, and shortcut unpacking. Silos use local
-//!   CHs over their own private weights to accelerate the Fed-AMPS lower
-//!   bound.
+//! [`contraction_order`] is a **weight-independent** vertex ordering. The
+//! paper requires the contracted vertex set/order to be "independent of
+//! the edge weights" so every silo derives it locally from the public
+//! topology with zero communication. We use minimum-degree simulation
+//! with deterministic tie-breaking. `fedroad-core`'s `FedChTopology`
+//! contracts the graph in this order, witness-free, to build the
+//! customizable contraction hierarchy the federated queries run on.
 
 use crate::graph::Graph;
-use crate::ids::{VertexId, Weight, INFINITY};
-use crate::path::Path;
+use crate::ids::VertexId;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Computes a weight-independent contraction order from the public topology.
 ///
@@ -88,393 +80,9 @@ pub fn contraction_order(g: &Graph, seed: u64) -> Vec<VertexId> {
     order
 }
 
-/// One upward arc of the hierarchy. `middle` is `Some(v)` when the arc is a
-/// shortcut created by contracting `v` (used for path unpacking).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChArc {
-    /// The other endpoint (always the higher-rank vertex's neighbour).
-    pub head: VertexId,
-    /// Arc weight under the weight set the index was built with.
-    pub weight: Weight,
-    /// Contracted middle vertex if this is a shortcut, `None` for an
-    /// original arc.
-    pub middle: Option<VertexId>,
-}
-
-/// A built contraction hierarchy over one weight set.
-#[derive(Clone, Debug)]
-pub struct ChIndex {
-    /// `rank[v]` = position of `v` in the contraction order.
-    rank: Vec<u32>,
-    /// `up_out[v]` = forward arcs `v → head` with `rank[head] > rank[v]`.
-    up_out: Vec<Vec<ChArc>>,
-    /// `up_in[v]` = backward arcs `head → v` with `rank[head] > rank[v]`
-    /// (`ChArc::head` is the arc's *tail* here).
-    up_in: Vec<Vec<ChArc>>,
-    num_shortcuts: usize,
-}
-
-impl ChIndex {
-    /// Rank of `v` in the contraction order.
-    pub fn rank(&self, v: VertexId) -> u32 {
-        self.rank[v.index()]
-    }
-
-    /// Number of shortcuts added during construction (arcs beyond the
-    /// original graph's upward arcs).
-    pub fn num_shortcuts(&self) -> usize {
-        self.num_shortcuts
-    }
-
-    /// Upward forward arcs of `v`.
-    pub fn up_out(&self, v: VertexId) -> &[ChArc] {
-        &self.up_out[v.index()]
-    }
-
-    /// Upward backward arcs of `v`.
-    pub fn up_in(&self, v: VertexId) -> &[ChArc] {
-        &self.up_in[v.index()]
-    }
-
-    /// Point-to-point query: bidirectional upward Dijkstra + unpacking.
-    pub fn spsp(&self, source: VertexId, target: VertexId) -> Option<(Weight, Path)> {
-        let (mu, meet, fwd, bwd) = self.upward_search(source, target)?;
-        // Reconstruct the up-down path through `meet`, then unpack
-        // shortcuts into original vertices.
-        let up_path = chain_to(&fwd, source, meet);
-        let down_path = chain_to(&bwd, target, meet);
-        let mut packed = up_path;
-        packed.extend(down_path.into_iter().rev().skip(1));
-        // `packed` is a vertex chain whose consecutive pairs are CH arcs
-        // (possibly shortcuts); unpack each.
-        let mut vertices = vec![packed[0]];
-        for win in packed.windows(2) {
-            self.unpack_arc(win[0], win[1], &mut vertices);
-        }
-        Some((mu, Path::new(vertices)))
-    }
-
-    /// Distance-only query (no unpacking).
-    pub fn distance(&self, source: VertexId, target: VertexId) -> Option<Weight> {
-        self.upward_search(source, target).map(|r| r.0)
-    }
-
-    /// Bidirectional upward search; returns (distance, meeting vertex,
-    /// forward label map, backward label map).
-    #[allow(clippy::type_complexity)]
-    fn upward_search(
-        &self,
-        source: VertexId,
-        target: VertexId,
-    ) -> Option<(Weight, VertexId, Labels, Labels)> {
-        if source == target {
-            let mut l = Labels::default();
-            l.dist.insert(source.0, (0, None));
-            return Some((0, source, l.clone(), l));
-        }
-        let mut fwd = Labels::default();
-        let mut bwd = Labels::default();
-        fwd.push(source, 0, None);
-        bwd.push(target, 0, None);
-        let mut mu = INFINITY;
-        let mut meet = None;
-
-        loop {
-            let fk = fwd.min_key();
-            let bk = bwd.min_key();
-            if fk.min(bk) >= mu || (fk >= INFINITY && bk >= INFINITY) {
-                break;
-            }
-            if fk <= bk {
-                if let Some((d, v)) = fwd.pop() {
-                    if let Some(&(db, _)) = bwd.dist.get(&v.0) {
-                        if d + db < mu {
-                            mu = d + db;
-                            meet = Some(v);
-                        }
-                    }
-                    for arc in &self.up_out[v.index()] {
-                        fwd.relax(arc.head, d + arc.weight, v);
-                    }
-                }
-            } else if let Some((d, v)) = bwd.pop() {
-                if let Some(&(df, _)) = fwd.dist.get(&v.0) {
-                    if d + df < mu {
-                        mu = d + df;
-                        meet = Some(v);
-                    }
-                }
-                for arc in &self.up_in[v.index()] {
-                    bwd.relax(arc.head, d + arc.weight, v);
-                }
-            }
-        }
-        meet.map(|m| (mu, m, fwd, bwd))
-    }
-
-    /// Appends the vertices strictly after `tail` of the unpacked arc
-    /// `tail → head` (in forward orientation) to `out`.
-    fn unpack_arc(&self, tail: VertexId, head: VertexId, out: &mut Vec<VertexId>) {
-        let arc = self.find_arc(tail, head).unwrap_or_else(|| {
-            panic!("CH unpack: no arc {tail:?}->{head:?}");
-        });
-        match arc.middle {
-            None => out.push(head),
-            Some(v) => {
-                self.unpack_arc(tail, v, out);
-                self.unpack_arc(v, head, out);
-            }
-        }
-    }
-
-    /// Locates the stored CH arc `tail → head` (forward orientation); the
-    /// arc lives at whichever endpoint has the lower rank.
-    fn find_arc(&self, tail: VertexId, head: VertexId) -> Option<ChArc> {
-        if self.rank[tail.index()] < self.rank[head.index()] {
-            self.up_out[tail.index()]
-                .iter()
-                .find(|a| a.head == head)
-                .copied()
-        } else {
-            self.up_in[head.index()]
-                .iter()
-                .find(|a| a.head == tail)
-                .copied()
-        }
-    }
-}
-
-/// Hash-map-based search labels for the (sparse) upward search.
-#[derive(Clone, Default)]
-struct Labels {
-    dist: HashMap<u32, (Weight, Option<VertexId>)>,
-    settled: std::collections::HashSet<u32>,
-    heap: BinaryHeap<Reverse<(Weight, u32)>>,
-}
-
-impl Labels {
-    fn push(&mut self, v: VertexId, d: Weight, parent: Option<VertexId>) {
-        self.dist.insert(v.0, (d, parent));
-        self.heap.push(Reverse((d, v.0)));
-    }
-
-    fn relax(&mut self, v: VertexId, d: Weight, parent: VertexId) {
-        match self.dist.get(&v.0) {
-            Some(&(old, _)) if old <= d => {}
-            _ => self.push(v, d, Some(parent)),
-        }
-    }
-
-    fn min_key(&mut self) -> Weight {
-        while let Some(&Reverse((d, v))) = self.heap.peek() {
-            if self.settled.contains(&v) {
-                self.heap.pop();
-            } else {
-                return d;
-            }
-        }
-        INFINITY
-    }
-
-    fn pop(&mut self) -> Option<(Weight, VertexId)> {
-        while let Some(Reverse((d, v))) = self.heap.pop() {
-            if self.settled.insert(v) {
-                return Some((d, VertexId(v)));
-            }
-        }
-        None
-    }
-}
-
-/// Walks parent pointers from `to` back to `from`, returning the chain
-/// `from … to` in forward order.
-fn chain_to(labels: &Labels, from: VertexId, to: VertexId) -> Vec<VertexId> {
-    let mut rev = vec![to];
-    let mut cur = to;
-    while cur != from {
-        let (_, parent) = labels.dist[&cur.0];
-        cur = parent.expect("search chain broken");
-        rev.push(cur);
-    }
-    rev.reverse();
-    rev
-}
-
-/// Builds a contraction hierarchy over `weights` using the given
-/// (weight-independent) contraction `order`.
-///
-/// Witness searches are exact: a shortcut `u → w` (via the contracted `v`)
-/// is added only when no path through the *remaining* graph (excluding `v`)
-/// is as short. A settle-limit safety valve conservatively adds the
-/// shortcut when exceeded, which preserves correctness (extra shortcuts are
-/// never wrong, only redundant).
-pub fn build_ch(g: &Graph, weights: &[Weight], order: &[VertexId]) -> ChIndex {
-    assert_eq!(weights.len(), g.num_arcs());
-    assert_eq!(order.len(), g.num_vertices());
-    let n = g.num_vertices();
-
-    let mut rank = vec![0u32; n];
-    for (r, &v) in order.iter().enumerate() {
-        rank[v.index()] = r as u32;
-    }
-
-    // Dynamic adjacency: min-weight arc per (tail, head) pair.
-    let mut fwd: Vec<HashMap<u32, (Weight, Option<VertexId>)>> = vec![HashMap::new(); n];
-    let mut bwd: Vec<HashMap<u32, (Weight, Option<VertexId>)>> = vec![HashMap::new(); n];
-    for v in g.vertices() {
-        for arc in g.out_arcs(v) {
-            if arc.head == v {
-                continue; // self-loops never help shortest paths
-            }
-            let w = weights[arc.id.index()];
-            improve(&mut fwd[v.index()], arc.head.0, w, None);
-            improve(&mut bwd[arc.head.index()], v.0, w, None);
-        }
-    }
-
-    let mut contracted = vec![false; n];
-    let mut up_out: Vec<Vec<ChArc>> = vec![Vec::new(); n];
-    let mut up_in: Vec<Vec<ChArc>> = vec![Vec::new(); n];
-    let mut num_shortcuts = 0usize;
-
-    for &v in order {
-        // Snapshot v's current uncontracted neighbourhood.
-        let ins: Vec<(u32, Weight, Option<VertexId>)> = bwd[v.index()]
-            .iter()
-            .filter(|(u, _)| !contracted[**u as usize])
-            .map(|(&u, &(w, m))| (u, w, m))
-            .collect();
-        let outs: Vec<(u32, Weight, Option<VertexId>)> = fwd[v.index()]
-            .iter()
-            .filter(|(w, _)| !contracted[**w as usize])
-            .map(|(&w, &(wt, m))| (w, wt, m))
-            .collect();
-
-        // Record v's upward arcs (all remaining neighbours outrank v).
-        up_out[v.index()] = outs
-            .iter()
-            .map(|&(h, w, m)| ChArc {
-                head: VertexId(h),
-                weight: w,
-                middle: m,
-            })
-            .collect();
-        up_in[v.index()] = ins
-            .iter()
-            .map(|&(t, w, m)| ChArc {
-                head: VertexId(t),
-                weight: w,
-                middle: m,
-            })
-            .collect();
-
-        contracted[v.index()] = true;
-
-        // Witness searches and shortcut insertion.
-        for &(u, w_uv, _) in &ins {
-            let targets: Vec<(u32, Weight)> = outs
-                .iter()
-                .filter(|&&(w, _, _)| w != u)
-                .map(|&(w, w_vw, _)| (w, w_uv + w_vw))
-                .collect();
-            if targets.is_empty() {
-                continue;
-            }
-            let threshold = targets.iter().map(|&(_, t)| t).max().unwrap();
-            let wit = witness_dists(&fwd, &contracted, VertexId(u), threshold, &targets);
-            for &(w, via_cost) in &targets {
-                let witness = wit.get(&w).copied().unwrap_or(INFINITY);
-                if witness > via_cost {
-                    let is_new = !fwd[u as usize].contains_key(&w);
-                    let improved = improve(&mut fwd[u as usize], w, via_cost, Some(v));
-                    if improved {
-                        improve(&mut bwd[w as usize], u, via_cost, Some(v));
-                    }
-                    if is_new {
-                        num_shortcuts += 1;
-                    }
-                }
-            }
-        }
-    }
-
-    ChIndex {
-        rank,
-        up_out,
-        up_in,
-        num_shortcuts,
-    }
-}
-
-/// Inserts/improves `map[key] = (weight, middle)`; returns whether changed.
-fn improve(
-    map: &mut HashMap<u32, (Weight, Option<VertexId>)>,
-    key: u32,
-    weight: Weight,
-    middle: Option<VertexId>,
-) -> bool {
-    match map.get(&key) {
-        Some(&(old, _)) if old <= weight => false,
-        _ => {
-            map.insert(key, (weight, middle));
-            true
-        }
-    }
-}
-
-/// Safety valve for pathological witness searches.
-const WITNESS_SETTLE_LIMIT: usize = 2_000;
-
-/// Dijkstra from `source` over the uncontracted remainder (the vertex being
-/// contracted is already flagged), stopping once all `targets` settle or
-/// the frontier exceeds `threshold`. Returns settled target distances.
-fn witness_dists(
-    fwd: &[HashMap<u32, (Weight, Option<VertexId>)>],
-    contracted: &[bool],
-    source: VertexId,
-    threshold: Weight,
-    targets: &[(u32, Weight)],
-) -> HashMap<u32, Weight> {
-    let mut dist: HashMap<u32, Weight> = HashMap::new();
-    let mut settled: std::collections::HashSet<u32> = Default::default();
-    let mut heap = BinaryHeap::new();
-    let mut remaining: std::collections::HashSet<u32> = targets.iter().map(|&(t, _)| t).collect();
-    let mut out = HashMap::new();
-
-    dist.insert(source.0, 0);
-    heap.push(Reverse((0u64, source.0)));
-
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if !settled.insert(v) {
-            continue;
-        }
-        if d > threshold || settled.len() > WITNESS_SETTLE_LIMIT {
-            break;
-        }
-        if remaining.remove(&v) {
-            out.insert(v, d);
-            if remaining.is_empty() {
-                break;
-            }
-        }
-        for (&head, &(w, _)) in &fwd[v as usize] {
-            if contracted[head as usize] {
-                continue;
-            }
-            let nd = d + w;
-            if nd < dist.get(&head).copied().unwrap_or(INFINITY) {
-                dist.insert(head, nd);
-                heap.push(Reverse((nd, head)));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo::spsp;
     use crate::gen::{grid_city, GridCityParams};
 
     #[test]
@@ -487,61 +95,5 @@ mod tests {
         sorted.sort();
         sorted.dedup();
         assert_eq!(sorted.len(), g.num_vertices(), "order is a permutation");
-    }
-
-    #[test]
-    fn ch_distances_match_dijkstra_exhaustively_on_small_city() {
-        let g = grid_city(&GridCityParams::small(), 6);
-        let w = g.static_weights();
-        let order = contraction_order(&g, 0);
-        let ch = build_ch(&g, w, &order);
-        assert!(ch.num_shortcuts() > 0, "contraction should add shortcuts");
-        // Exhaustive check from 5 sources to all targets.
-        for s in [0u32, 17, 42, 63, 99] {
-            let run = crate::algo::sssp(&g, w, VertexId(s));
-            for t in 0..g.num_vertices() as u32 {
-                let expect = run.dist[t as usize];
-                let got = ch.distance(VertexId(s), VertexId(t));
-                assert_eq!(got, Some(expect).filter(|&d| d < INFINITY), "{s}->{t}");
-            }
-        }
-    }
-
-    #[test]
-    fn ch_paths_unpack_to_valid_optimal_walks() {
-        let g = grid_city(&GridCityParams::small(), 12);
-        let w = g.static_weights();
-        let ch = build_ch(&g, w, &contraction_order(&g, 0));
-        let n = g.num_vertices() as u32;
-        for (s, t) in [(0, n - 1), (5, 70), (88, 3), (31, 32)] {
-            let (ds, ps) = ch.spsp(VertexId(s), VertexId(t)).unwrap();
-            let (de, _) = spsp(&g, w, VertexId(s), VertexId(t)).unwrap();
-            assert_eq!(ds, de, "{s}->{t}");
-            assert_eq!(ps.cost(&g, w), Some(ds), "unpacked path must be real");
-            assert_eq!(ps.source(), VertexId(s));
-            assert_eq!(ps.target(), VertexId(t));
-        }
-    }
-
-    #[test]
-    fn ch_handles_source_equals_target() {
-        let g = grid_city(&GridCityParams::small(), 1);
-        let ch = build_ch(&g, g.static_weights(), &contraction_order(&g, 0));
-        let (d, p) = ch.spsp(VertexId(9), VertexId(9)).unwrap();
-        assert_eq!(d, 0);
-        assert_eq!(p.hops(), 0);
-    }
-
-    #[test]
-    fn ch_works_under_congested_weights() {
-        let g = grid_city(&GridCityParams::small(), 10);
-        let ws = crate::traffic::gen_silo_weights(&g, crate::traffic::CongestionLevel::Heavy, 1, 5);
-        let w = &ws[0];
-        let ch = build_ch(&g, w, &contraction_order(&g, 0));
-        let n = g.num_vertices() as u32;
-        for (s, t) in [(0, n - 1), (13, 57)] {
-            let (de, _) = spsp(&g, w, VertexId(s), VertexId(t)).unwrap();
-            assert_eq!(ch.distance(VertexId(s), VertexId(t)), Some(de));
-        }
     }
 }

@@ -1,10 +1,10 @@
-//! Property tests for the local shortest-path substrate: every accelerated
-//! structure must agree with plain Dijkstra on arbitrary graphs.
+//! Property tests for the local shortest-path substrate on arbitrary
+//! graphs: landmark bounds never exceed Dijkstra distances, and Dijkstra
+//! settles vertices in nondecreasing distance order.
 
-use fedroad_graph::algo::{astar, bidirectional_spsp, spsp, sssp};
-use fedroad_graph::ch::{build_ch, contraction_order};
+use fedroad_graph::algo::{spsp, sssp};
 use fedroad_graph::landmarks::{select_landmarks, LandmarkTable};
-use fedroad_graph::{Coord, Graph, GraphBuilder, VertexId, INFINITY};
+use fedroad_graph::{Coord, Graph, GraphBuilder, VertexId};
 use proptest::prelude::*;
 
 /// Random strongly connected directed graph: ring backbone + chords.
@@ -41,49 +41,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn bidirectional_matches_dijkstra(g in arb_graph(), s in 0u32..35, t in 0u32..35) {
-        let n = g.num_vertices() as u32;
-        let (s, t) = (VertexId(s % n), VertexId(t % n));
-        let w = g.static_weights();
-        let uni = spsp(&g, w, s, t).map(|r| r.0);
-        let bi = bidirectional_spsp(&g, w, s, t);
-        prop_assert_eq!(uni, bi.as_ref().map(|r| r.0));
-        if let Some((d, p)) = bi {
-            prop_assert_eq!(p.cost(&g, w), Some(d), "path must realize the distance");
-        }
-    }
-
-    #[test]
-    fn ch_matches_dijkstra_everywhere(g in arb_graph(), seed in 0u64..10) {
-        let w = g.static_weights();
-        let order = contraction_order(&g, seed);
-        let ch = build_ch(&g, w, &order);
-        // One source, all targets.
-        let run = sssp(&g, w, VertexId(0));
-        for t in g.vertices() {
-            let expect = if run.dist[t.index()] >= INFINITY {
-                None
-            } else {
-                Some(run.dist[t.index()])
-            };
-            prop_assert_eq!(ch.distance(VertexId(0), t), expect, "target {}", t);
-        }
-    }
-
-    #[test]
-    fn ch_unpacked_paths_are_real(g in arb_graph(), s in 0u32..35, t in 0u32..35) {
-        let n = g.num_vertices() as u32;
-        let (s, t) = (VertexId(s % n), VertexId(t % n));
-        let w = g.static_weights();
-        let ch = build_ch(&g, w, &contraction_order(&g, 0));
-        if let Some((d, p)) = ch.spsp(s, t) {
-            prop_assert_eq!(p.cost(&g, w), Some(d));
-            prop_assert_eq!(p.source(), s);
-            prop_assert_eq!(p.target(), t);
-        }
-    }
-
-    #[test]
     fn landmark_bounds_never_exceed_true_distances(
         g in arb_graph(),
         count in 1usize..5,
@@ -98,19 +55,6 @@ proptest! {
         if let Some((d, _)) = spsp(&g, w, s, t) {
             prop_assert!(table.best_bound(s, t) <= d);
         }
-    }
-
-    #[test]
-    fn astar_with_landmark_potential_is_exact(g in arb_graph(), s in 0u32..35, t in 0u32..35) {
-        let n = g.num_vertices() as u32;
-        let (s, t) = (VertexId(s % n), VertexId(t % n));
-        let w = g.static_weights();
-        let lms = select_landmarks(&g, 3.min(g.num_vertices()));
-        let table = LandmarkTable::compute(&g, w, &lms);
-        let mut pot = fedroad_graph::alt::AltPotential::new(&table, t);
-        let exact = spsp(&g, w, s, t).map(|r| r.0);
-        let guided = astar(&g, w, s, t, &mut pot).map(|r| r.0);
-        prop_assert_eq!(exact, guided);
     }
 
     #[test]

@@ -8,7 +8,7 @@ pub struct EdaBit {
     pub bits: Vec<u64>,
 }
 
-impl std::fmt::Display for AuthShare {
+impl std::fmt::Display for TripleBlock {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{}", self.share)
     }

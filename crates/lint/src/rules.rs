@@ -11,8 +11,8 @@
 //!
 //! One engine runs the rule set: [`lint_files`] / [`lint_source`] run
 //! token-level R2/R3/R5, the scope-aware, interprocedural
-//! [`crate::taint`] dataflow for R1/R4/R6/R7/R8, the [`crate::locks`]
-//! lock-set pass for R10–R13, and R9 for stale markers.
+//! `taint` dataflow for R1/R4/R6/R7/R8, the `locks` lock-set pass for
+//! R10–R13, and R9 for stale markers.
 
 use crate::ast;
 use crate::lexer::{lex, Lexed, Marker, MarkerKind, Token, TokenKind};
@@ -44,7 +44,7 @@ impl std::fmt::Display for Finding {
 }
 
 /// A finding before marker suppression: rules emit these without looking
-/// at `// lint: …-ok` markers; [`apply_markers`] suppresses the
+/// at `// lint: …-ok` markers; `apply_markers` suppresses the
 /// suppressible ones centrally and tracks which markers earned their keep
 /// (the complement feeds rule R9 `unused-suppression`).
 #[derive(Clone, Debug)]
@@ -74,12 +74,10 @@ pub const HOT_PATHS: [&str; 9] = [
 
 /// Types that hold raw share words; Debug/Display on them needs a
 /// `// lint: debug-ok(<reason>)` marker (normally a redacted impl).
-pub const SHARE_TYPES: [&str; 9] = [
+pub const SHARE_TYPES: [&str; 7] = [
     "SharedWord",
     "EdaBit",
     "TripleWord",
-    "MacKey",
-    "AuthShare",
     "PartyMaterial",
     "ShareBlock",
     "EdaBitBlock",

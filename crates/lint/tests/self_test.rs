@@ -41,7 +41,7 @@ fn bad_derive_trips_no_debug_on_shares() {
     assert_eq!(
         rules.iter().filter(|r| **r == "no-debug-on-shares").count(),
         2,
-        "derive(Debug) on EdaBit and Display on AuthShare: {findings:?}"
+        "derive(Debug) on EdaBit and Display on TripleBlock: {findings:?}"
     );
 }
 

@@ -137,11 +137,11 @@ pub struct TraceProfile {
 
 /// Snapshots an engine's observable traffic as a [`TraceProfile`].
 ///
-/// Callers comparing executions should [`SacEngine::reset_stats`] between
-/// them or use one fresh engine per execution; kind counters accumulate
-/// for the lifetime audit, so this profile subtracts nothing.
+/// Callers comparing executions should use one fresh engine per
+/// execution: every counter accumulates over the engine's lifetime, so
+/// this profile subtracts nothing.
 pub fn trace_profile(engine: &SacEngine) -> TraceProfile {
-    let stats = engine.stats();
+    let stats = engine.cumulative_stats();
     let mut kind_counts: Vec<(MsgKind, u64)> =
         engine.kind_counts().iter().map(|(&k, &v)| (k, v)).collect();
     kind_counts.sort_unstable();

@@ -130,10 +130,6 @@ pub struct SacEngine {
     rngs: Vec<ChaCha12Rng>,
     invocations: u64,
     batches: u64,
-    /// Snapshot taken by [`Self::reset_stats`]; [`Self::stats`] reports
-    /// cumulative counters minus this baseline, so windowed readings can
-    /// never go negative however engines are reused across queries.
-    baseline: SacStats,
     transcript: Option<Transcript>,
     scratch: Scratch,
 }
@@ -154,7 +150,6 @@ impl SacEngine {
                 .collect(),
             invocations: 0,
             batches: 0,
-            baseline: SacStats::default(),
             transcript: None,
             scratch: Scratch::default(),
         }
@@ -180,16 +175,9 @@ impl SacEngine {
         self.transcript.as_ref()
     }
 
-    /// Statistics since construction (or the last [`Self::reset_stats`]).
-    pub fn stats(&self) -> SacStats {
-        self.cumulative_stats().delta_since(&self.baseline)
-    }
-
-    /// Statistics since construction, regardless of any
-    /// [`Self::reset_stats`] calls. These counters are monotonic, so
+    /// Statistics since construction. These counters are monotonic, so
     /// before/after snapshots around a query always subtract to a valid
-    /// (non-negative) per-query delta — the source per-query reporting
-    /// must use.
+    /// (non-negative) per-query delta.
     pub fn cumulative_stats(&self) -> SacStats {
         SacStats {
             invocations: self.invocations,
@@ -207,16 +195,6 @@ impl SacEngine {
     /// (the audit's traffic profile is per execution, not per comparison).
     pub fn batch_count(&self) -> u64 {
         self.batches
-    }
-
-    /// Restarts the [`Self::stats`] window by snapshotting the cumulative
-    /// counters as the new baseline. Underlying counters (including the
-    /// dealer's and the mesh's, which an earlier revision zeroed
-    /// inconsistently) keep increasing monotonically, so concurrent
-    /// before/after delta readers via [`Self::cumulative_stats`] are
-    /// unaffected. Message-kind counters are preserved for the audit.
-    pub fn reset_stats(&mut self) {
-        self.baseline = self.cumulative_stats();
     }
 
     /// **Fed-SAC**: returns `Σ a[p] < Σ b[p]`, revealing only that bit.
@@ -400,14 +378,14 @@ mod tests {
                 modeled.less_than(&a, &b).unwrap()
             );
         }
-        assert_eq!(real.stats(), modeled.stats());
+        assert_eq!(real.cumulative_stats(), modeled.cumulative_stats());
     }
 
     #[test]
     fn per_invocation_costs_match_the_documented_constants() {
         let mut eng = SacEngine::new(3, SacBackend::Real, 1);
         eng.less_than(&[1, 2, 3], &[4, 5, 6]).unwrap();
-        let s = eng.stats();
+        let s = eng.cumulative_stats();
         assert_eq!(s.invocations, 1);
         assert_eq!(s.net.rounds, FEDSAC_ROUNDS);
         assert_eq!(s.dealer.edabits, 1);
@@ -456,41 +434,20 @@ mod tests {
             assert_eq!(sequential.less_than(a, b).unwrap(), *bit);
         }
         // Same invocation count and bytes; 16x fewer rounds.
-        assert_eq!(batched.stats().invocations, sequential.stats().invocations);
-        assert_eq!(batched.stats().net.bytes, sequential.stats().net.bytes);
-        assert_eq!(batched.stats().net.rounds, FEDSAC_ROUNDS);
-        assert_eq!(sequential.stats().net.rounds, 16 * FEDSAC_ROUNDS);
+        assert_eq!(
+            batched.cumulative_stats().invocations,
+            sequential.cumulative_stats().invocations
+        );
+        assert_eq!(
+            batched.cumulative_stats().net.bytes,
+            sequential.cumulative_stats().net.bytes
+        );
+        assert_eq!(batched.cumulative_stats().net.rounds, FEDSAC_ROUNDS);
+        assert_eq!(sequential.cumulative_stats().net.rounds, 16 * FEDSAC_ROUNDS);
         // Modeled twin accounts identically to the real batch.
         let mut modeled = SacEngine::new(3, SacBackend::Modeled, 9);
         assert_eq!(modeled.less_than_many(&pairs).unwrap(), bits);
-        assert_eq!(modeled.stats(), batched.stats());
-    }
-
-    #[test]
-    fn reset_mid_window_keeps_cumulative_deltas_non_negative() {
-        // Regression: `reset_stats` used to zero some underlying counters
-        // while leaving others, so a per-query before/after delta spanning
-        // a reset could go "negative" (wrap). It is now a pure baseline
-        // snapshot: cumulative counters are monotonic across resets.
-        let mut eng = SacEngine::new(3, SacBackend::Real, 11);
-        let before = eng.cumulative_stats();
-        eng.less_than(&[1, 2, 3], &[4, 5, 6]).unwrap();
-        eng.reset_stats();
-        eng.less_than(&[7, 8, 9], &[1, 2, 3]).unwrap();
-        let delta = eng.cumulative_stats().delta_since(&before);
-        // The whole window is visible despite the reset in the middle…
-        assert_eq!(delta.invocations, 2);
-        assert_eq!(delta.net.rounds, 2 * FEDSAC_ROUNDS);
-        assert_eq!(delta.dealer.edabits, 2);
-        // …while the windowed view only covers the post-reset call.
-        let windowed = eng.stats();
-        assert_eq!(windowed.invocations, 1);
-        assert_eq!(windowed.net.rounds, FEDSAC_ROUNDS);
-        assert_eq!(windowed.dealer.edabits, 1);
-        // A second reset empties the window without disturbing cumulative.
-        eng.reset_stats();
-        assert_eq!(eng.stats(), SacStats::default());
-        assert_eq!(eng.cumulative_stats().delta_since(&before).invocations, 2);
+        assert_eq!(modeled.cumulative_stats(), batched.cumulative_stats());
     }
 
     #[test]
@@ -511,7 +468,7 @@ mod tests {
         let mut batched = SacEngine::new(3, SacBackend::Modeled, 13);
         batched.less_than_many(&pairs).unwrap();
         assert_eq!(
-            latency_only.modeled_time_s(&batched.stats().net),
+            latency_only.modeled_time_s(&batched.cumulative_stats().net),
             FEDSAC_ROUNDS as f64
         );
         let mut sequential = SacEngine::new(3, SacBackend::Modeled, 13);
@@ -519,7 +476,7 @@ mod tests {
             sequential.less_than(a, b).unwrap();
         }
         assert_eq!(
-            latency_only.modeled_time_s(&sequential.stats().net),
+            latency_only.modeled_time_s(&sequential.cumulative_stats().net),
             8.0 * FEDSAC_ROUNDS as f64
         );
         // Bandwidth-only model: time is exactly the per-party byte volume.
@@ -528,7 +485,7 @@ mod tests {
             bandwidth_bps: 1.0,
             per_message_s: 0.0,
         };
-        let net = batched.stats().net;
+        let net = batched.cumulative_stats().net;
         assert_eq!(
             bandwidth_only.modeled_time_s(&net),
             net.per_party_bytes as f64
@@ -551,8 +508,8 @@ mod tests {
             Err(ProtocolError::CostOutOfRange { value: 1 << 60 })
         );
         // A failed call must not account any traffic or invocations.
-        assert_eq!(eng.stats().invocations, 0);
-        assert_eq!(eng.stats().net.rounds, 0);
+        assert_eq!(eng.cumulative_stats().invocations, 0);
+        assert_eq!(eng.cumulative_stats().net.rounds, 0);
     }
 
     #[test]
@@ -647,8 +604,14 @@ mod tests {
         let mut large = SacEngine::new(8, SacBackend::Modeled, 1);
         small.less_than(&[1, 2], &[3, 4]).unwrap();
         large.less_than(&[1; 8], &[2; 8]).unwrap();
-        assert_eq!(small.stats().net.rounds, large.stats().net.rounds);
-        assert!(large.stats().net.bytes > small.stats().net.bytes);
-        assert!(large.stats().net.per_party_bytes > small.stats().net.per_party_bytes);
+        assert_eq!(
+            small.cumulative_stats().net.rounds,
+            large.cumulative_stats().net.rounds
+        );
+        assert!(large.cumulative_stats().net.bytes > small.cumulative_stats().net.bytes);
+        assert!(
+            large.cumulative_stats().net.per_party_bytes
+                > small.cumulative_stats().net.per_party_bytes
+        );
     }
 }

@@ -31,8 +31,6 @@
 //! * [`scheduler`] — a cross-query submission queue + round scheduler
 //!   coalescing pending comparisons from many in-flight queries into one
 //!   protocol execution (the paper's `R·(L + S/B)` lever at serving time).
-//! * [`mac`] — SPDZ-style MAC-authenticated sharing: the machinery the
-//!   malicious-security upgrade would build on, with cheater detection.
 //!
 //! ## Security model
 //!
@@ -57,7 +55,6 @@ pub mod dealer;
 pub mod duels;
 pub mod error;
 pub mod fedsac;
-pub mod mac;
 pub mod net;
 pub mod scheduler;
 pub mod threaded;

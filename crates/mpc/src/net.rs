@@ -121,7 +121,7 @@ impl Mesh {
     /// Traffic statistics so far. Counters are **monotonic** — they are
     /// never zeroed, so any two reads subtract to a valid window delta
     /// (see [`NetStats::delta_since`]). Windowed consumers snapshot a
-    /// baseline instead of resetting (see `SacEngine::reset_stats`).
+    /// baseline instead of resetting.
     pub fn stats(&self) -> NetStats {
         self.stats
     }

@@ -426,7 +426,7 @@ impl SacSession<'_> {
     /// batches resolve immediately — they never occupy a protocol round
     /// and never fail other queries' requests. An empty batch resolves to
     /// `Ok(vec![])`, mirroring
-    /// [`run_comparisons`](crate::threaded::run_comparisons) on no input.
+    /// [`run_comparisons`] on no input.
     pub fn submit<D: Duels + ?Sized>(&self, duels: &D) -> DuelTicket {
         let sched = self.scheduler;
         let count = duels.count();
@@ -471,7 +471,7 @@ impl SacSession<'_> {
     /// waiting (it then executes the merged protocol round itself).
     ///
     /// Between checks the waiter spins, lock released, until the
-    /// scheduler's generation moves or [`SPIN_BUDGET`] runs out, then
+    /// scheduler's generation moves or `SPIN_BUDGET` (200 µs) runs out, then
     /// re-locks and parks on the condvar only if the generation still
     /// holds the value it read under the lock. No wake-up is lost: every
     /// state change bumps the generation under the lock before notifying,

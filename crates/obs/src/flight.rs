@@ -12,7 +12,8 @@
 //! per thread lifetime, and at dump time).
 //!
 //! Secret hygiene is inherited structurally: rings store
-//! [`TraceEvent`]s, whose payloads are the closed [`ObsValue`] enum
+//! [`TraceEvent`]s, whose payloads are the closed
+//! [`ObsValue`](crate::ObsValue) enum
 //! (no ring elements, no arbitrary strings), and dump *reasons* are
 //! `&'static str` so a failure path cannot format secret values — or even
 //! a panic payload — into the black box. The panic hook therefore records

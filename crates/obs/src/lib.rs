@@ -3,7 +3,7 @@
 //! The paper's entire evaluation (§VIII) argues in terms of *observable*
 //! costs: Fed-SAC invocations, communication rounds, per-silo volume,
 //! modeled wall-clock via `R · (L + S/B)`. This crate is the one pipeline
-//! those observations flow through: a global [`Recorder`]-style API with
+//! those observations flow through: a global recorder API with
 //! spans, monotonic counters, and log2-bucketed histograms, a per-query
 //! [`QueryTrace`] with a phase timeline, and exports to JSONL and Chrome
 //! trace-event JSON (loadable in Perfetto / `chrome://tracing`).

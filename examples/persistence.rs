@@ -56,7 +56,7 @@ fn main() {
     println!(
         "  built federated shortcut index: {} shortcuts ({} Fed-SACs spent)",
         index.stats().shortcuts,
-        fed.sac_stats().invocations
+        fed.sac_cumulative_stats().invocations
     );
 
     // Each silo persists only ITS view — one weight column per arc.

@@ -30,6 +30,9 @@ cargo fmt --check
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> cargo doc --no-deps (rustdoc warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps
+
 echo "==> fedroad-lint (secret-hygiene static analysis, SARIF to target/)"
 cargo run -q -p fedroad-lint -- --sarif-out target/lint.sarif
 

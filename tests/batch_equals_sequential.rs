@@ -55,20 +55,41 @@ fn assert_batch_equals_sequential(config: EngineConfig, label: &str) {
     let engine = QueryEngine::build(&mut fed, config);
     let pairs = random_pairs(fed.graph().num_vertices() as u32, NUM_QUERIES, 0xFED_5EED);
 
+    let executions_before = fed.engine().batch_count();
+    let sac_before = fed.sac_cumulative_stats();
     let sequential: Vec<QueryResult> = pairs
         .iter()
         .map(|&(s, t)| engine.spsp(&mut fed, s, t))
         .collect();
+    let sequential_executions = fed.engine().batch_count() - executions_before;
+    let sequential_sac = fed.sac_cumulative_stats().delta_since(&sac_before);
     let sequential_invocations: u64 = sequential.iter().map(|r| r.stats.sac_invocations).sum();
 
     let snapshot = Arc::new(engine.snapshot(&fed));
-    let scheduler = Arc::new(BatchScheduler::lockstep(SacEngine::new(
-        NUM_SILOS,
-        SacBackend::Modeled,
-        0xBA7C4,
-    )));
-    let executor = BatchExecutor::new(snapshot, scheduler, WORKERS);
-    let outcome = executor.run(&pairs);
+    let run_on_fresh_scheduler = |workers: usize| {
+        let scheduler = Arc::new(BatchScheduler::lockstep(SacEngine::new(
+            NUM_SILOS,
+            SacBackend::Modeled,
+            0xBA7C4,
+        )));
+        BatchExecutor::new(Arc::clone(&snapshot), scheduler, workers).run(&pairs)
+    };
+
+    // One worker has no partner to coalesce with, so the scheduler fires
+    // one round per request: the session target must issue exactly the
+    // requests the engine target issued sequentially.
+    let alone = run_on_fresh_scheduler(1).report;
+    assert_eq!(
+        alone.scheduler.rounds, sequential_executions,
+        "{label}: protocol executions diverged between the engine and session targets"
+    );
+    assert_eq!(
+        (alone.sac.net.rounds, alone.sac.net.bytes),
+        (sequential_sac.net.rounds, sequential_sac.net.bytes),
+        "{label}: rounds and bytes diverged between the engine and session targets"
+    );
+
+    let outcome = run_on_fresh_scheduler(WORKERS);
 
     assert_eq!(outcome.results.len(), sequential.len());
     for (i, (batch, seq)) in outcome.results.iter().zip(&sequential).enumerate() {
