@@ -1,4 +1,5 @@
-//! Design-choice ablations (core fraction, TM-tree α, naive+TM-tree).
+//! Design-choice ablations (core-fraction sweep, TM-tree α, naive+TM-tree,
+//! round batching).
 //! `--quick` for a smoke run.
 
 fn main() {

@@ -2,12 +2,12 @@
 //! of Fed-SAC invocations: the ablation validating that the MPC operator
 //! is the bottleneck.
 
-use crate::experiments::fig7_8::shared_index;
+use crate::experiments::fig7_8::SharedIndexes;
 use crate::report::{heading, table, Reporter};
 use crate::setup::{self, DEFAULT_SILOS};
 use crate::workload::hop_bucketed_queries;
 use crate::BENCH_SEED;
-use fedroad_core::{Method, QueryEngine};
+use fedroad_core::Method;
 use fedroad_graph::gen::RoadNetworkPreset;
 use fedroad_graph::traffic::CongestionLevel;
 use fedroad_mpc::NetworkModel;
@@ -34,12 +34,12 @@ pub fn run(quick: bool) -> Reporter {
 
     let mut bench = setup::build(preset, DEFAULT_SILOS, CongestionLevel::Moderate);
     let groups = hop_bucketed_queries(&bench.graph, &preset.hop_buckets(), per_group, BENCH_SEED);
-    let index = shared_index(&mut bench);
+    let mut indexes = SharedIndexes::default();
 
     let (mut sacs, mut times, mut bytes, mut rounds) =
         (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for method in Method::FIGURE7 {
-        let engine = QueryEngine::build_with(&mut bench.fed, method.config(), Some(&index));
+        let engine = indexes.engine(&mut bench, method.config());
         for group in &groups {
             for &(s, t) in &group.pairs {
                 let st = engine.spsp(&mut bench.fed, s, t).stats;

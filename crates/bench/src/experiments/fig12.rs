@@ -29,7 +29,7 @@ pub fn run(quick: bool) -> Reporter {
 
     let mut bench = setup::build(preset, DEFAULT_SILOS, CongestionLevel::Moderate);
     let groups = hop_bucketed_queries(&bench.graph, &preset.hop_buckets(), per_group, BENCH_SEED);
-    let index = shared_index(&mut bench);
+    let index = shared_index(&mut bench, &EngineConfig::default());
 
     let mut rows = Vec::new();
     let mut tm_push_cost = u64::MAX;

@@ -6,8 +6,8 @@ use crate::report::{heading, table, Reporter};
 use crate::setup::{self, DEFAULT_SILOS};
 use crate::workload::hop_bucketed_queries;
 use crate::BENCH_SEED;
+use fedroad_core::{EngineConfig, Method, QueryEngine, QueryStats};
 use fedroad_core::{FedChIndex, SacComparator};
-use fedroad_core::{Method, QueryEngine, QueryStats};
 use fedroad_graph::ch::contraction_order;
 use fedroad_graph::traffic::CongestionLevel;
 use fedroad_mpc::NetworkModel;
@@ -63,22 +63,40 @@ pub fn run_method(
     }
 }
 
-/// Builds the shared shortcut index for a federation (one construction
-/// serves every shortcut-based method in a sweep, shared by `Arc`).
-pub fn shared_index(bench: &mut crate::setup::Bench) -> Arc<FedChIndex> {
-    let config = Method::FedRoad.config();
+/// Builds the shortcut index `config` asks for (its order seed and core
+/// size) over the bench federation, to be shared by `Arc`.
+pub fn shared_index(bench: &mut crate::setup::Bench, config: &EngineConfig) -> Arc<FedChIndex> {
     let order = contraction_order(bench.fed.graph(), config.order_seed);
-    let n = order.len();
-    let core = ((n as f64) * config.core_fraction).ceil().max(1.0) as usize;
+    let core = config.core_size(order.len());
     let (graph, silos, engine) = bench.fed.split_mut();
     let mut cmp = SacComparator::new(engine);
-    Arc::new(FedChIndex::build(
-        graph,
-        silos,
-        &order,
-        core.min(n),
-        &mut cmp,
-    ))
+    Arc::new(FedChIndex::build(graph, silos, &order, core, &mut cmp))
+}
+
+/// The shortcut indexes of one sweep, one per distinct core size: the
+/// guided lines and +Fed-Shortcut keep different cores (see
+/// [`Method::config`]), so each line gets the index built for its own
+/// core, and lines with the same core share one construction.
+#[derive(Default)]
+pub struct SharedIndexes(Vec<Arc<FedChIndex>>);
+
+impl SharedIndexes {
+    /// Builds `config`'s engine over `bench`, constructing its shortcut
+    /// index on the first request for that core size.
+    pub fn engine(&mut self, bench: &mut crate::setup::Bench, config: EngineConfig) -> QueryEngine {
+        let index = config.use_shortcuts.then(|| {
+            let core = config.core_size(bench.fed.graph().num_vertices());
+            match self.0.iter().find(|index| index.core_size() == core) {
+                Some(index) => Arc::clone(index),
+                None => {
+                    let index = shared_index(bench, &config);
+                    self.0.push(Arc::clone(&index));
+                    index
+                }
+            }
+        });
+        QueryEngine::build_with(&mut bench.fed, config, index.as_ref())
+    }
 }
 
 /// Runs the full sweep.
@@ -91,7 +109,7 @@ pub fn run(quick: bool) -> Reporter {
         let mut bench = setup::build(preset, DEFAULT_SILOS, CongestionLevel::Moderate);
         let groups =
             hop_bucketed_queries(&bench.graph, &preset.hop_buckets(), per_group, BENCH_SEED);
-        let index = shared_index(&mut bench);
+        let mut indexes = SharedIndexes::default();
 
         heading(&format!(
             "Figures 7+8 — {} ({}), {} queries per hop group",
@@ -105,7 +123,7 @@ pub fn run(quick: bool) -> Reporter {
         let mut comm_rows = Vec::new();
 
         for method in Method::FIGURE7 {
-            let engine = QueryEngine::build_with(&mut bench.fed, method.config(), Some(&index));
+            let engine = indexes.engine(&mut bench, method.config());
             let mut times = Vec::new();
             let mut comms = Vec::new();
             for group in &groups {

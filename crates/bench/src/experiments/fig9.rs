@@ -1,12 +1,12 @@
 //! Figure 9 — query time versus the number of data silos (2–8), for the
 //! four headline methods, on the first hop group of each dataset.
 
-use crate::experiments::fig7_8::{run_method, shared_index};
+use crate::experiments::fig7_8::{run_method, SharedIndexes};
 use crate::report::{heading, table, Reporter};
 use crate::setup;
 use crate::workload::hop_bucketed_queries;
 use crate::BENCH_SEED;
-use fedroad_core::{Method, QueryEngine};
+use fedroad_core::Method;
 use fedroad_graph::gen::RoadNetworkPreset;
 use fedroad_graph::traffic::CongestionLevel;
 use fedroad_mpc::NetworkModel;
@@ -44,9 +44,9 @@ pub fn run(quick: bool) -> Reporter {
                 BENCH_SEED,
             );
             let pairs = groups[0].pairs.clone();
-            let index = shared_index(&mut bench);
+            let mut indexes = SharedIndexes::default();
             for (mi, method) in Method::FIGURE7.iter().enumerate() {
-                let engine = QueryEngine::build_with(&mut bench.fed, method.config(), Some(&index));
+                let engine = indexes.engine(&mut bench, method.config());
                 let cell = run_method(&mut bench, &engine, &pairs, &lan);
                 rows[mi].1.push(cell.time_s);
                 rep.record(

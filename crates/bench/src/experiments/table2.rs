@@ -5,11 +5,9 @@
 use crate::experiments::fig7_8::shared_index;
 use crate::report::{heading, table, Reporter};
 use crate::setup::{self, DEFAULT_SILOS};
-use fedroad_core::{FedChIndex, SacComparator};
+use fedroad_core::{FedChIndex, Method, SacComparator};
 use fedroad_graph::traffic::CongestionLevel;
-use fedroad_graph::ArcId;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 use std::time::Instant;
 
@@ -18,15 +16,20 @@ const CHANGE_FRACTIONS: [f64; 3] = [0.001, 0.01, 0.10];
 /// Runs the construction/update timing sweep.
 pub fn run(quick: bool) -> Reporter {
     let mut rep = Reporter::new();
-    heading("Table II — index construction & update wall time [s] (Modeled backend)");
+    // The index FedRoad serves from: the guided lines' core.
+    let config = Method::FedRoad.config();
+    heading(&format!(
+        "Table II — index construction & update wall time [s] (Modeled backend, FedRoad's \
+         {:.0} % core)",
+        config.core_fraction * 100.0
+    ));
     let mut rows = Vec::new();
 
     for preset in setup::presets(quick) {
         let mut bench = setup::build(preset, DEFAULT_SILOS, CongestionLevel::Moderate);
-        let m = bench.graph.num_arcs();
 
         let t0 = Instant::now();
-        let index = shared_index(&mut bench);
+        let index = shared_index(&mut bench, &config);
         let construction_s = t0.elapsed().as_secs_f64();
 
         let mut row = Vec::new();
@@ -35,15 +38,7 @@ pub fn run(quick: bool) -> Reporter {
             // Independent perturbation per fraction, on a fresh copy of the
             // index and silo-0 weights.
             let mut index = FedChIndex::clone(&index);
-            let k = ((m as f64) * frac).ceil() as usize;
-            let mut arc_ids: Vec<u32> = (0..m as u32).collect();
-            arc_ids.shuffle(&mut rng);
-            let changed: Vec<ArcId> = arc_ids[..k].iter().map(|&i| ArcId(i)).collect();
-            let mut w = bench.fed.silo(0).as_slice().to_vec();
-            for a in &changed {
-                let bump = rng.gen_range(1..=w[a.index()] / 2 + 1);
-                w[a.index()] += bump;
-            }
+            let (changed, w) = setup::silo0_update(&bench, frac, &mut rng);
             let original = bench.fed.silo(0).as_slice().to_vec();
             bench.fed.update_silo_weights(0, w);
 
@@ -114,7 +109,10 @@ pub fn run(quick: bool) -> Reporter {
             preset.name(),
             "construction",
             "-",
-            vec![("construction_s".into(), construction_s)],
+            vec![
+                ("construction_s".into(), construction_s),
+                ("core_fraction".into(), config.core_fraction),
+            ],
         );
         rows.push((preset.name().to_string(), row));
     }

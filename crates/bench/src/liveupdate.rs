@@ -125,8 +125,7 @@ pub fn run(quick: bool) -> UpdateReport {
     // the denominator-free baseline the customize times are judged against.
     let config = *engine.config();
     let order = contraction_order(&bench.graph, config.order_seed);
-    let n = bench.graph.num_vertices();
-    let core = (((n as f64) * config.core_fraction).ceil().max(1.0) as usize).min(n);
+    let core = config.core_size(bench.graph.num_vertices());
     let build_s = {
         let (graph, silos, sac) = bench.fed.split_mut();
         let mut cmp = SacComparator::new(sac);

@@ -43,6 +43,13 @@ pub struct EngineConfig {
     /// Fraction of vertices kept as the uncontracted core of the shortcut
     /// index (the paper contracts the "unimportant" set `V_c`; queries
     /// climb the hierarchy into the core and cross it with A* pruning).
+    ///
+    /// [`Method::config`] gives the guided lines (a lower bound steers
+    /// the A*) a larger core than the unguided +Fed-Shortcut line: with
+    /// near-exact Fed-AMPS bounds the A* settles little beyond the path,
+    /// so a deep hierarchy only adds the climb through `t`'s fill-in
+    /// cone, while an unguided search needs the small core to prune at
+    /// all. The `ablations` core sweep measures both.
     pub core_fraction: f64,
     /// Round-batching extension (off by default for paper-faithful
     /// accounting): independent comparison batches — the TM-tree's
@@ -52,11 +59,24 @@ pub struct EngineConfig {
     pub batch_rounds: bool,
 }
 
+impl EngineConfig {
+    /// Vertices the shortcut index keeps uncontracted on an `n`-vertex
+    /// network: `⌈n · core_fraction⌉`, at least one and at most `n`.
+    pub fn core_size(&self, n: usize) -> usize {
+        (((n as f64) * self.core_fraction).ceil().max(1.0) as usize).min(n)
+    }
+}
+
 impl Default for EngineConfig {
     fn default() -> Self {
         Method::FedRoad.config()
     }
 }
+
+/// Core fraction of the lines whose A* a lower bound guides.
+const GUIDED_CORE_FRACTION: f64 = 0.50;
+/// Core fraction of the unguided +Fed-Shortcut line.
+const UNGUIDED_CORE_FRACTION: f64 = 0.05;
 
 /// The named method lines of the paper's comparative analysis (§VIII-B).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -118,12 +138,20 @@ impl Method {
             Method::FedShortcutAmps => (true, LowerBoundKind::Amps, QueueKind::Heap),
             Method::FedRoad => (true, LowerBoundKind::Amps, QueueKind::TmTree),
         };
+        // Each line family's core minimises the geometric mean of query
+        // Fed-SACs over CAL-S, BJ-S and FLA-S in the `ablations` core
+        // sweep (results/ablations.json). Every guided line shares one
+        // core, so the figures' TM-tree step compares like with like.
+        let core_fraction = match lower_bound {
+            LowerBoundKind::None => UNGUIDED_CORE_FRACTION,
+            _ => GUIDED_CORE_FRACTION,
+        };
         EngineConfig {
             use_shortcuts,
             lower_bound,
             queue,
             order_seed: 0,
-            core_fraction: 0.10,
+            core_fraction,
             batch_rounds: false,
         }
     }
@@ -211,8 +239,14 @@ impl QueryEngine {
     /// Like [`Self::build`], but reuses a previously built shortcut index
     /// when the configuration wants one — the index depends only on the
     /// federation and the order/core parameters, not on the lower bound or
-    /// queue choice, so experiment sweeps share one construction (by
-    /// `Arc`, without copying it).
+    /// queue choice, so experiment sweeps share one construction per core
+    /// (by `Arc`, without copying it).
+    ///
+    /// # Panics
+    ///
+    /// If `shared_index` keeps a different number of core vertices than
+    /// `config` asks for: handing a line another line's index is a bug in
+    /// the caller.
     pub fn build_with(
         fed: &mut Federation,
         config: EngineConfig,
@@ -222,21 +256,24 @@ impl QueryEngine {
         let start = Instant::now();
         let _span = fedroad_obs::span("engine.build");
 
+        let core_size = config.core_size(fed.graph().num_vertices());
         let fedch = config.use_shortcuts.then(|| match shared_index {
-            Some(index) => Arc::clone(index),
+            Some(index) => {
+                if index.core_size() != core_size {
+                    // lint: panic-ok(a mismatched shared index is a caller bug, not a protocol input)
+                    panic!(
+                        "shared shortcut index keeps {} core vertices, but this configuration \
+                         needs {core_size}",
+                        index.core_size()
+                    );
+                }
+                Arc::clone(index)
+            }
             None => {
                 let order = contraction_order(fed.graph(), config.order_seed);
-                let n = order.len();
-                let core_size = ((n as f64) * config.core_fraction).ceil().max(1.0) as usize;
                 let (graph, silos, engine) = fed.split_mut();
                 let mut cmp = SacComparator::new(engine);
-                Arc::new(FedChIndex::build(
-                    graph,
-                    silos,
-                    &order,
-                    core_size.min(n),
-                    &mut cmp,
-                ))
+                Arc::new(FedChIndex::build(graph, silos, &order, core_size, &mut cmp))
             }
         });
 
@@ -540,6 +577,77 @@ mod tests {
         assert!(sacs[0].1 > sacs[1].1, "shortcuts must beat naive: {sacs:?}");
         assert!(sacs[1].1 > sacs[2].1, "AMPS must beat shortcuts: {sacs:?}");
         assert!(sacs[2].1 > sacs[3].1, "TM-tree must beat heap: {sacs:?}");
+    }
+
+    #[test]
+    fn fedroad_core_spends_fewer_fedsacs_than_the_old_default() {
+        // Pins the per-line core decision: FedRoad at its own core answers
+        // exactly and beats the 10 % core every line used to share.
+        let mut fed = make_fed(67);
+        let oracle = JointOracle::new(&fed);
+        let n = fed.graph().num_vertices() as u32;
+        let pairs = [(0, n - 1), (7, 70), (93, 11), (n / 2, 3), (n - 5, 40)];
+        let mut query_sacs = |config: EngineConfig| -> u64 {
+            let engine = QueryEngine::build(&mut fed, config);
+            pairs
+                .iter()
+                .map(|&(s, t)| {
+                    let (s, t) = (VertexId(s), VertexId(t));
+                    let result = engine.spsp(&mut fed, s, t);
+                    let truth = oracle.spsp_scaled(&fed, s, t).unwrap().0;
+                    let cost = oracle.path_cost_scaled(&fed, &result.path.unwrap());
+                    assert_eq!(
+                        cost,
+                        Some(truth),
+                        "core {} on {s}->{t}",
+                        config.core_fraction
+                    );
+                    result.stats.sac_invocations
+                })
+                .sum()
+        };
+        let chosen = query_sacs(Method::FedRoad.config());
+        let old_default = query_sacs(EngineConfig {
+            core_fraction: 0.10,
+            ..Method::FedRoad.config()
+        });
+        assert!(
+            chosen < old_default,
+            "FedRoad's core must beat 10 %: {chosen} !< {old_default}"
+        );
+    }
+
+    #[test]
+    fn build_with_refuses_an_index_of_another_core() {
+        let mut fed = make_fed(69);
+        let n = fed.graph().num_vertices();
+        let guided = QueryEngine::build(&mut fed, Method::FedRoad.config());
+        let index = Arc::new(guided.fedch().unwrap().clone());
+        let unguided = Method::FedShortcut.config();
+        let (have, want) = (index.core_size(), unguided.core_size(n));
+        assert_ne!(have, want, "the two lines should use different cores");
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            QueryEngine::build_with(&mut fed, unguided, Some(&index))
+        }))
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(
+            msg.contains(&format!("keeps {have} core vertices"))
+                && msg.contains(&format!("needs {want}")),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn core_size_rounds_up_and_stays_in_range() {
+        let at = |core_fraction: f64| EngineConfig {
+            core_fraction,
+            ..Method::FedRoad.config()
+        };
+        assert_eq!(at(0.10).core_size(95), 10);
+        assert_eq!(at(0.0).core_size(95), 1);
+        assert_eq!(at(1.0).core_size(95), 95);
+        assert_eq!(at(1.5).core_size(95), 95);
     }
 
     #[test]

@@ -73,6 +73,9 @@ cargo run -q --release -p fedroad-bench --bin live_traffic -- --quick >/dev/null
 echo "==> comparison-kernel microbench (quick)"
 cargo run -q --release -p fedroad-bench --bin compare_bench -- --quick >/dev/null
 
+echo "==> core-fraction ablation smoke (quick)"
+cargo run -q --release -p fedroad-bench --bin ablations -- --quick >/dev/null
+
 echo "==> obs-diff regression gate vs committed baselines"
 # Counter-style metrics are deterministic and hard-fail past the threshold;
 # wall-clock and modeled-throughput rows are machine-dependent, so obs-diff
