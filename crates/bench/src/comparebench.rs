@@ -1,17 +1,14 @@
-//! Secure-comparison microbenchmark — scalar vs vectorized kernels.
+//! Secure-comparison microbenchmark.
 //!
 //! Measures raw Fed-SAC comparison throughput (`less_than_zero_many`) at
-//! the kernel level, bypassing the query layer, across two arms:
+//! the kernel level, bypassing the query layer: the flat party-major
+//! [`ShareBlock`] kernel with an inline dealer, working in one reused
+//! scratch as an engine does.
 //!
-//! * **scalar** — the original per-gate `Vec<SharedWord>` kernels
-//!   ([`less_than_zero_many_scalar`]) with an inline dealer,
-//! * **vectorized** — the flat party-major [`ShareBlock`]
-//!   kernels with an inline dealer.
-//!
-//! Every row cross-checks that both arms reveal identical bits and
-//! consume identical network and dealer statistics
-//! — the differential suite's invariant kept live inside the harness, so
-//! a published speedup can never come from a protocol change.
+//! Every row checks the revealed bits against the plaintext sign of each
+//! difference outside the timed region, so a published rate can never come
+//! from a wrong answer; the differential suite (`tests/prop_vectorized.rs`)
+//! pins the kernel to a per-lane reference of the protocol.
 //!
 //! The report is written to `results/BENCH_compare.json` with an explicit
 //! schema tag and re-validated on save, like
@@ -20,8 +17,8 @@
 use crate::report::{heading, save_checked, table, RESULTS_DIR};
 use crate::BENCH_SEED;
 use fedroad_core::jsonio::{JsonError, Value};
-use fedroad_mpc::compare::{less_than_zero_many, less_than_zero_many_scalar, CompareScratch};
-use fedroad_mpc::dealer::Dealer;
+use fedroad_mpc::compare::{less_than_zero_many, CompareScratch};
+use fedroad_mpc::dealer::{reconstruct_additive, Dealer};
 use fedroad_mpc::{Mesh, ShareBlock};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
@@ -30,7 +27,7 @@ use std::time::Instant;
 
 /// Schema identifier of the comparison-kernel report. Bump the version
 /// suffix on any breaking change to the document shape.
-pub const COMPARE_SCHEMA: &str = "fedroad.bench-compare.v2";
+pub const COMPARE_SCHEMA: &str = "fedroad.bench-compare.v3";
 
 /// Batch widths the sweep measures (the scheduler produces exactly these
 /// shapes: single duels up to wide coalesced rounds).
@@ -39,28 +36,25 @@ pub const BATCH_SIZES: [usize; 4] = [1, 8, 64, 512];
 /// Parties in the kernel federation.
 pub const PARTIES: usize = 3;
 
-/// One batch width: throughput of each arm plus the (identical) protocol
-/// cost counters.
+/// One batch width: kernel throughput plus the protocol cost counters.
 #[derive(Clone, Debug)]
 pub struct CompareRow {
     /// Comparisons per protocol execution.
     pub batch: usize,
     /// Repetitions measured.
     pub reps: usize,
-    /// Total comparisons per arm (`batch × reps`).
+    /// Total comparisons (`batch × reps`).
     pub comparisons: u64,
-    /// Scalar-kernel comparisons/second.
-    pub scalar_cps: f64,
-    /// Vectorized-kernel comparisons/second.
-    pub vectorized_cps: f64,
-    /// `vectorized_cps / scalar_cps` — the layout win.
-    pub vector_speedup: f64,
-    /// Online rounds consumed by one arm (both arms identical, asserted).
+    /// Comparisons/second.
+    pub cps: f64,
+    /// Online rounds consumed.
     pub net_rounds: u64,
-    /// edaBits consumed by one arm (both arms identical, asserted).
+    /// Online bytes on the wire, all parties.
+    pub net_bytes: u64,
+    /// edaBits consumed.
     pub edabits: u64,
-    /// Triple words consumed by one arm (both arms identical, asserted).
-    pub triple_words: u64,
+    /// Carry-correlation words consumed.
+    pub corr_words: u64,
 }
 
 /// The whole sweep: one row per entry of [`BATCH_SIZES`].
@@ -96,73 +90,52 @@ fn measure_one_batch(quick: bool, batch: usize) -> CompareRow {
     let inputs = make_inputs(batch, reps, BENCH_SEED ^ batch as u64);
     let seed = BENCH_SEED ^ 0xC0_0000 ^ batch as u64;
 
-    // Scalar reference arm.
-    let mut mesh_s = Mesh::new(PARTIES);
-    let mut dealer_s = Dealer::new(PARTIES, seed);
-    let mut bits_s = Vec::with_capacity(reps);
-    let start = Instant::now();
-    for d_list in &inputs {
-        bits_s.push(
-            less_than_zero_many_scalar(&mut mesh_s, &mut dealer_s, d_list, None)
-                .expect("well-formed bench inputs"),
-        );
-    }
-    let scalar_s = start.elapsed().as_secs_f64();
-
-    // Vectorized arm, inline dealer (same seed ⇒ same preprocessing
-    // stream ⇒ bit-identical opens and stats). Its inputs are flat blocks,
-    // packed outside the timed region, and it works in one reused scratch
-    // as an engine does.
+    // Inputs are packed into flat blocks outside the timed region.
     let blocks: Vec<ShareBlock> = inputs
         .iter()
         .map(|d_list| ShareBlock::from_words(PARTIES, d_list))
         .collect();
     let mut scratch = CompareScratch::default();
-    let mut mesh_v = Mesh::new(PARTIES);
-    let mut dealer_v = Dealer::new(PARTIES, seed);
-    let mut bits_v = Vec::with_capacity(reps);
+    let mut mesh = Mesh::new(PARTIES);
+    let mut dealer = Dealer::new(PARTIES, seed);
+    let mut bits = Vec::with_capacity(reps);
     let start = Instant::now();
     for d in &blocks {
-        bits_v.push(
-            less_than_zero_many(&mut mesh_v, &mut dealer_v, d, None, &mut scratch)
+        bits.push(
+            less_than_zero_many(&mut mesh, &mut dealer, d, None, &mut scratch)
                 .expect("well-formed bench inputs"),
         );
     }
-    let vectorized_s = start.elapsed().as_secs_f64();
+    let elapsed_s = start.elapsed().as_secs_f64();
 
-    // Live accounting-twin checks: identical bits and cost counters.
-    assert_eq!(bits_s, bits_v, "scalar and vectorized bits diverged");
-    assert_eq!(
-        mesh_s.stats(),
-        mesh_v.stats(),
-        "scalar and vectorized traffic diverged"
-    );
-    assert_eq!(
-        dealer_s.stats(),
-        dealer_v.stats(),
-        "scalar and vectorized preprocessing diverged"
-    );
+    // Every revealed bit is the sign of its difference.
+    for (d_list, bits) in inputs.iter().zip(&bits) {
+        for (d, &bit) in d_list.iter().zip(bits) {
+            assert_eq!(
+                bit,
+                reconstruct_additive(d) >> 63 == 1,
+                "wrong comparison bit"
+            );
+        }
+    }
 
     let comparisons = (batch * reps) as u64;
-    let cps = |t: f64| comparisons as f64 / t.max(1e-9);
-    let (scalar_cps, vectorized_cps) = (cps(scalar_s), cps(vectorized_s));
     CompareRow {
         batch,
         reps,
         comparisons,
-        scalar_cps,
-        vectorized_cps,
-        vector_speedup: vectorized_cps / scalar_cps.max(1e-9),
-        net_rounds: mesh_v.stats().rounds,
-        edabits: dealer_v.stats().edabits,
-        triple_words: dealer_v.stats().triple_words,
+        cps: comparisons as f64 / elapsed_s.max(1e-9),
+        net_rounds: mesh.stats().rounds,
+        net_bytes: mesh.stats().bytes,
+        edabits: dealer.stats().edabits,
+        corr_words: dealer.stats().corr_words,
     }
 }
 
-/// Runs the sweep: every batch width of [`BATCH_SIZES`], two arms each.
+/// Runs the sweep: every batch width of [`BATCH_SIZES`].
 pub fn run(quick: bool) -> CompareReport {
     heading(&format!(
-        "Secure comparisons/sec — scalar vs vectorized kernels ({PARTIES} parties)"
+        "Secure comparisons/sec — block kernel ({PARTIES} parties)"
     ));
     let rows: Vec<CompareRow> = BATCH_SIZES
         .iter()
@@ -173,12 +146,12 @@ pub fn run(quick: bool) -> CompareReport {
         .map(|r| {
             (
                 format!("batch-{}", r.batch),
-                vec![r.scalar_cps, r.vectorized_cps, r.vector_speedup],
+                vec![r.cps, 1e6 * r.batch as f64 / r.cps],
             )
         })
         .collect();
-    table("batch", &["scalar c/s", "vector c/s", "vec ×"], &printable);
-    println!("(expected shape: the speedup column grows with batch width)");
+    table("batch", &["c/s", "µs/exec"], &printable);
+    println!("(expected shape: comparisons/sec grow with batch width)");
     CompareReport {
         seed: BENCH_SEED,
         quick,
@@ -192,12 +165,11 @@ fn row_to_value(row: &CompareRow) -> Value {
         ("batch".into(), Value::Int(row.batch as i128)),
         ("reps".into(), Value::Int(row.reps as i128)),
         ("comparisons".into(), Value::Int(row.comparisons as i128)),
-        ("scalar_cps".into(), Value::Float(row.scalar_cps)),
-        ("vectorized_cps".into(), Value::Float(row.vectorized_cps)),
-        ("vector_speedup".into(), Value::Float(row.vector_speedup)),
+        ("cps".into(), Value::Float(row.cps)),
         ("net_rounds".into(), Value::Int(row.net_rounds as i128)),
+        ("net_bytes".into(), Value::Int(row.net_bytes as i128)),
         ("edabits".into(), Value::Int(row.edabits as i128)),
-        ("triple_words".into(), Value::Int(row.triple_words as i128)),
+        ("corr_words".into(), Value::Int(row.corr_words as i128)),
     ])
 }
 
@@ -247,32 +219,35 @@ fn expect_f64(doc: &Value, key: &str) -> Result<f64, JsonError> {
     }
 }
 
+/// The integer fields of a row: its shape and the protocol's deterministic
+/// cost counters.
+const COUNTER_FIELDS: [&str; 7] = [
+    "batch",
+    "reps",
+    "comparisons",
+    "net_rounds",
+    "net_bytes",
+    "edabits",
+    "corr_words",
+];
+
 fn validate_row(row: &Value) -> Result<(), JsonError> {
-    for key in [
-        "batch",
-        "reps",
-        "comparisons",
-        "net_rounds",
-        "edabits",
-        "triple_words",
-    ] {
+    for key in COUNTER_FIELDS {
         expect_u64(row, key)?;
     }
     if expect_u64(row, "batch")? == 0 {
         return Err(JsonError::Schema("row has batch width 0".into()));
     }
-    for key in ["scalar_cps", "vectorized_cps", "vector_speedup"] {
-        let x = expect_f64(row, key)?;
-        if !x.is_finite() || x <= 0.0 {
-            return Err(JsonError::Schema(format!(
-                "field `{key}` must be finite and positive, found {x}"
-            )));
-        }
+    let cps = expect_f64(row, "cps")?;
+    if !cps.is_finite() || cps <= 0.0 {
+        return Err(JsonError::Schema(format!(
+            "field `cps` must be finite and positive, found {cps}"
+        )));
     }
     Ok(())
 }
 
-/// Validates a parsed document against the `fedroad.bench-compare.v2`
+/// Validates a parsed document against the `fedroad.bench-compare.v3`
 /// schema: schema tag, run parameters, and a non-empty array of
 /// well-formed rows.
 pub fn validate(doc: &Value) -> Result<(), JsonError> {
@@ -317,12 +292,11 @@ mod tests {
             batch,
             reps: 512 / batch.max(1),
             comparisons: 512,
-            scalar_cps: 10_000.0,
-            vectorized_cps: 42_000.0,
-            vector_speedup: 4.2,
-            net_rounds: 4096,
+            cps: 42_000.0,
+            net_rounds: 2560,
+            net_bytes: 196_608,
             edabits: 512,
-            triple_words: 6144,
+            corr_words: 512 * 44,
         }
     }
 
@@ -367,20 +341,22 @@ mod tests {
     #[test]
     fn validation_rejects_non_positive_rates() {
         let mut report = sample();
-        report.rows[0].vector_speedup = 0.0;
+        report.rows[0].cps = 0.0;
         let doc = Value::parse(&report.to_json()).unwrap();
         assert!(matches!(validate(&doc), Err(JsonError::Schema(_))));
     }
 
     #[test]
     fn a_tiny_sweep_runs_with_consistent_counters() {
-        // One real (tiny) measurement keeps the arm cross-checks honest in
-        // debug CI; throughput numbers are only sanity-bounded here.
+        // One real (tiny) measurement keeps the answer check and the
+        // counters honest in debug CI; throughput is only sanity-bounded.
         let row = measure_one_batch(true, 8);
         assert_eq!(row.comparisons, 512);
         assert_eq!(row.edabits, 512);
-        assert_eq!(row.triple_words, 512 * 12);
-        assert_eq!(row.net_rounds, 8 * (row.reps as u64));
-        assert!(row.scalar_cps > 0.0 && row.vectorized_cps > 0.0);
+        assert_eq!(row.corr_words, 512 * 44);
+        assert_eq!(row.net_rounds, 5 * (row.reps as u64));
+        // 8 words per party and comparison, P(P − 1) = 6 messages each.
+        assert_eq!(row.net_bytes, 512 * 8 * 8 * 6);
+        assert!(row.cps > 0.0);
     }
 }

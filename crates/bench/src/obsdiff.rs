@@ -1,7 +1,7 @@
 //! The bench-regression gate: structural diff of two schema-checked
 //! telemetry artifacts (`fedroad.bench-run.v1`,
 //! `fedroad.bench-throughput.v1`, `fedroad.bench-update.v1`,
-//! `fedroad.bench-compare.v2`, `fedroad.metrics-snapshot.v1`).
+//! `fedroad.bench-compare.v3`, `fedroad.metrics-snapshot.v1`).
 //!
 //! [`diff`] compares a *baseline* document against a *current* one and
 //! yields [`Finding`]s. Severity encodes how trustworthy each metric is:
@@ -21,6 +21,12 @@
 //! Improvements (metric got *better* past the threshold) warn too: the
 //! committed baseline is stale and should be refreshed, but nothing is
 //! broken.
+//!
+//! A metric present on one side only is judged like a drift of its
+//! family: one that **vanished** from the current run fails when its
+//! family is hard-gated (a counter that stops being reported would
+//! otherwise escape the gate for good) and warns when it is soft; one
+//! that is **new** in the current run always warns.
 
 use fedroad_core::jsonio::{JsonError, Value};
 
@@ -105,12 +111,7 @@ impl DiffCx<'_> {
             Worse::Higher => drift > 0.0,
             Worse::Lower => drift < 0.0,
         };
-        let demoted = self.opts.warn_only.iter().any(|m| m == metric);
-        let severity = if regressed && hard && !demoted {
-            Severity::Fail
-        } else {
-            Severity::Warn
-        };
+        let severity = self.severity(metric, regressed && hard);
         let pct = drift * 100.0;
         let kind = if regressed { "regressed" } else { "improved" };
         self.findings.push(Finding {
@@ -120,14 +121,34 @@ impl DiffCx<'_> {
         });
     }
 
-    /// Flags a metric present on only one side (always Warn: a renamed or
-    /// newly added instrument is expected churn, schema checks catch real
-    /// drift).
-    fn missing(&mut self, metric: &str, side: &str) {
+    /// Fail when `fails`, unless `metric` is listed in `warn_only`.
+    fn severity(&self, metric: &str, fails: bool) -> Severity {
+        if fails && !self.opts.warn_only.iter().any(|m| m == metric) {
+            Severity::Fail
+        } else {
+            Severity::Warn
+        }
+    }
+
+    /// Flags a metric the current run no longer reports. For a
+    /// hard-gated family that is a Fail (unless listed in `warn_only`):
+    /// a vanished counter can no longer be gated at all, so the baseline
+    /// must be refreshed on purpose.
+    fn vanished(&mut self, metric: &str, hard: bool) {
+        self.findings.push(Finding {
+            severity: self.severity(metric, hard),
+            metric: metric.to_string(),
+            message: format!("{metric} present only in baseline"),
+        });
+    }
+
+    /// Flags a metric only the current run reports (always Warn: a newly
+    /// added instrument is expected churn).
+    fn added(&mut self, metric: &str) {
         self.findings.push(Finding {
             severity: Severity::Warn,
             metric: metric.to_string(),
-            message: format!("{metric} present only in {side}"),
+            message: format!("{metric} present only in current"),
         });
     }
 }
@@ -157,12 +178,12 @@ fn diff_named(
     for (name, b) in base {
         match cur.iter().find(|(n, _)| n == name) {
             Some((_, c)) => cx.compare(&format!("{prefix}.{name}"), *b, *c, worse, hard),
-            None => cx.missing(&format!("{prefix}.{name}"), "baseline"),
+            None => cx.vanished(&format!("{prefix}.{name}"), hard),
         }
     }
     for (name, _) in cur {
         if !base.iter().any(|(n, _)| n == name) {
-            cx.missing(&format!("{prefix}.{name}"), "current");
+            cx.added(&format!("{prefix}.{name}"));
         }
     }
 }
@@ -256,7 +277,7 @@ fn diff_throughput(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(),
             .find(|r| r.get("label").and_then(|l| l.as_str()).ok() == Some(&label))
         {
             Some(c_row) => diff_row(cx, &label, b_row, c_row, false)?,
-            None => cx.missing(&label, "baseline"),
+            None => cx.vanished(&label, false),
         }
     }
     Ok(())
@@ -356,12 +377,19 @@ fn diff_compare(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Js
             .iter()
             .find(|r| r.get("batch").and_then(|v| v.as_u64()).ok() == Some(batch))
         else {
-            cx.missing(&label, "baseline");
+            cx.vanished(&label, true);
             continue;
         };
-        // The kernel consumes exactly the same rounds/edaBits/triples per
-        // comparison whatever the host: deterministic accounting, hard.
-        for key in ["comparisons", "net_rounds", "edabits", "triple_words"] {
+        // The kernel consumes exactly the same rounds, bytes, edaBits and
+        // correlation words per comparison whatever the host:
+        // deterministic accounting, hard.
+        for key in [
+            "comparisons",
+            "net_rounds",
+            "net_bytes",
+            "edabits",
+            "corr_words",
+        ] {
             cx.compare(
                 &format!("{label}.{key}"),
                 u(b_row, key)?,
@@ -370,16 +398,14 @@ fn diff_compare(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Js
                 true,
             );
         }
-        // Throughput and speedup ratios fold in host CPU/cores: advisory.
-        for key in ["scalar_cps", "vectorized_cps", "vector_speedup"] {
-            cx.compare(
-                &format!("{label}.{key}"),
-                f(b_row, key)?,
-                f(c_row, key)?,
-                Worse::Lower,
-                false,
-            );
-        }
+        // Throughput folds in host CPU/cores: advisory.
+        cx.compare(
+            &format!("{label}.cps"),
+            f(b_row, "cps")?,
+            f(c_row, "cps")?,
+            Worse::Lower,
+            false,
+        );
     }
     for c_row in cur.get("rows")?.as_arr()? {
         let batch = c_row.get("batch")?.as_u64()?;
@@ -389,7 +415,7 @@ fn diff_compare(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Js
             .iter()
             .any(|r| r.get("batch").and_then(|v| v.as_u64()).ok() == Some(batch))
         {
-            cx.missing(&format!("batch-{batch}"), "current");
+            cx.added(&format!("batch-{batch}"));
         }
     }
     Ok(())
@@ -636,13 +662,12 @@ mod tests {
         ));
     }
 
-    fn compare_report_json(edabits: u64, vectorized_cps: f64) -> String {
+    fn compare_report_json(edabits: u64, cps: f64) -> String {
         format!(
-            "{{\"schema\":\"fedroad.bench-compare.v2\",\"seed\":7,\"quick\":true,\
+            "{{\"schema\":\"fedroad.bench-compare.v3\",\"seed\":7,\"quick\":true,\
              \"parties\":3,\"rows\":[{{\"batch\":64,\"reps\":8,\"comparisons\":512,\
-             \"net_rounds\":64,\"edabits\":{edabits},\"triple_words\":6144,\
-             \"scalar_cps\":1000.0,\"vectorized_cps\":{vectorized_cps},\
-             \"vector_speedup\":4.0}}]}}"
+             \"net_rounds\":40,\"net_bytes\":196608,\"edabits\":{edabits},\
+             \"corr_words\":22528,\"cps\":{cps}}}]}}"
         )
     }
 
@@ -668,9 +693,7 @@ mod tests {
         .unwrap();
         assert!(!findings.is_empty());
         assert!(!has_failure(&findings), "{findings:?}");
-        assert!(findings
-            .iter()
-            .any(|f| f.metric == "batch-64.vectorized_cps"));
+        assert!(findings.iter().any(|f| f.metric == "batch-64.cps"));
     }
 
     #[test]
@@ -681,7 +704,7 @@ mod tests {
         let base = parse(&compare_report_json(512, 4000.0));
         let drifted = parse(
             &compare_report_json(512, 4000.0)
-                .replace("fedroad.bench-compare.v2", "fedroad.bench-compare.v3"),
+                .replace("fedroad.bench-compare.v3", "fedroad.bench-compare.v4"),
         );
         assert!(matches!(
             diff(&base, &drifted, &DiffOptions::default()),
@@ -712,5 +735,48 @@ mod tests {
         assert!(!has_failure(&findings), "{findings:?}");
         let findings = diff(&mk(100, 100), &mk(200, 100), &DiffOptions::default()).unwrap();
         assert!(has_failure(&findings), "{findings:?}");
+    }
+
+    #[test]
+    fn vanished_hard_counter_fails_but_a_new_one_only_warns() {
+        let with = |extra: &str| {
+            parse(&format!(
+                "{{\"schema\":\"fedroad.bench-run.v1\",\"seed\":7,\"quick\":true,\
+                 \"experiments\":[],\"counters\":[{{\"name\":\"fedsac.rounds\",\"value\":100}}\
+                 {extra}],\"histograms\":[],\"query\":null}}"
+            ))
+        };
+        let both = with(",{\"name\":\"net.input_share\",\"value\":40}");
+        let one = with("");
+        // A counter only the baseline has: the current run stopped
+        // reporting it, so the gate could never see it regress again.
+        let findings = diff(&both, &one, &DiffOptions::default()).unwrap();
+        assert!(has_failure(&findings), "{findings:?}");
+        assert_eq!(findings[0].metric, "counters.net.input_share");
+        // `--warn-only` demotes it like any other hard metric.
+        let opts = DiffOptions {
+            warn_only: vec!["counters.net.input_share".into()],
+            ..DiffOptions::default()
+        };
+        assert!(!has_failure(&diff(&both, &one, &opts).unwrap()));
+        // A counter only the current run has is new instrumentation: warn.
+        let findings = diff(&one, &both, &DiffOptions::default()).unwrap();
+        assert_eq!(findings.len(), 1);
+        assert!(!has_failure(&findings), "{findings:?}");
+        // Soft families (metric-snapshot gauges) only warn either way.
+        let snap = |gauges: &str| {
+            parse(&format!(
+                "{{\"schema\":\"{METRICS_SCHEMA}\",\"at_ns\":5,\"counters\":[],\
+                 \"gauges\":[{gauges}],\"histograms\":[]}}"
+            ))
+        };
+        let findings = diff(
+            &snap("{\"name\":\"sched.pending\",\"value\":3}"),
+            &snap(""),
+            &DiffOptions::default(),
+        )
+        .unwrap();
+        assert_eq!(findings.len(), 1);
+        assert!(!has_failure(&findings), "{findings:?}");
     }
 }

@@ -8,47 +8,111 @@ use crate::ids::{VertexId, Weight};
 /// The paper's `ρ = ⟨v0, v1, …, vl⟩`. Costs are always evaluated against an
 /// explicit weight vector, because in a federation the *same* path has a
 /// different partial cost `φ_p(ρ)` on every silo.
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// A path outlives its search as a query answer, and answers are kept by
+/// the thousand, so the sequence is stored compactly in one byte string:
+/// the hop count and the source as LEB128 varints, then every step as the
+/// zigzag LEB128 varint of its id difference to the previous vertex.
+/// Neighbouring junctions mostly have nearby ids, so a step takes one or
+/// two bytes instead of four. The encoding is canonical, so equal paths
+/// have equal bytes.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Path {
-    vertices: Vec<VertexId>,
+    bytes: Box<[u8]>,
+}
+
+// Shows the vertex sequence, not the encoding.
+impl std::fmt::Debug for Path {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("Path").field(&self.vertices()).finish()
+    }
+}
+
+fn push_varint(out: &mut Vec<u8>, mut x: u64) {
+    while x >= 0x80 {
+        out.push((x as u8) | 0x80);
+        x >>= 7;
+    }
+    out.push(x as u8);
+}
+
+/// Reads the varint at `*at`, advancing `*at` past it.
+fn read_varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let mut x = 0u64;
+    let mut shift = 0;
+    loop {
+        let b = bytes[*at];
+        *at += 1;
+        x |= u64::from(b & 0x7F) << shift;
+        if b < 0x80 {
+            return x;
+        }
+        shift += 7;
+    }
 }
 
 impl Path {
-    /// Creates a path from a vertex sequence. The sequence is trimmed to
-    /// its length: searches build it by pushing, and a path outlives the
-    /// search as a query answer.
+    /// Creates a path from a vertex sequence (searches build it by
+    /// pushing).
     ///
     /// # Panics
     /// Panics if the sequence is empty; a path has at least its source.
-    pub fn new(mut vertices: Vec<VertexId>) -> Self {
+    pub fn new(vertices: Vec<VertexId>) -> Self {
         assert!(!vertices.is_empty(), "a path contains at least one vertex");
-        vertices.shrink_to_fit();
-        Path { vertices }
+        let mut bytes = Vec::with_capacity(vertices.len() + 8);
+        push_varint(&mut bytes, (vertices.len() - 1) as u64);
+        push_varint(&mut bytes, u64::from(vertices[0].0));
+        for pair in vertices.windows(2) {
+            let delta = i64::from(pair[1].0) - i64::from(pair[0].0);
+            push_varint(&mut bytes, ((delta << 1) ^ (delta >> 63)) as u64);
+        }
+        Path {
+            bytes: bytes.into_boxed_slice(),
+        }
     }
 
     /// The trivial path consisting of a single vertex.
     pub fn trivial(v: VertexId) -> Self {
-        Path { vertices: vec![v] }
+        Path::new(vec![v])
     }
 
     /// Source vertex `v0`.
     pub fn source(&self) -> VertexId {
-        self.vertices[0]
+        let mut at = 0;
+        read_varint(&self.bytes, &mut at);
+        VertexId(read_varint(&self.bytes, &mut at) as u32)
     }
 
     /// Target vertex `vl`.
     pub fn target(&self) -> VertexId {
-        *self.vertices.last().expect("non-empty")
+        self.iter().last().expect("non-empty")
     }
 
     /// Number of hops (arcs) on the path — the paper's query-scale measure.
     pub fn hops(&self) -> usize {
-        self.vertices.len() - 1
+        read_varint(&self.bytes, &mut 0) as usize
     }
 
-    /// The vertex sequence.
-    pub fn vertices(&self) -> &[VertexId] {
-        &self.vertices
+    /// The vertex sequence, decoded.
+    pub fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
+        let mut at = 0;
+        let hops = read_varint(&self.bytes, &mut at);
+        let mut v = read_varint(&self.bytes, &mut at) as i64;
+        std::iter::once(VertexId(v as u32)).chain((0..hops).map(move |_| {
+            let z = read_varint(&self.bytes, &mut at);
+            v += ((z >> 1) as i64) ^ -((z & 1) as i64);
+            VertexId(v as u32)
+        }))
+    }
+
+    /// The vertex sequence as a vector.
+    pub fn vertices(&self) -> Vec<VertexId> {
+        self.iter().collect()
+    }
+
+    /// Consecutive vertex pairs: the arcs the walk takes.
+    fn steps(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
+        self.iter().zip(self.iter().skip(1))
     }
 
     /// Evaluates the path cost under `weights` (indexed by arc id) on `g`.
@@ -57,8 +121,8 @@ impl Path {
     /// arc, i.e. the sequence is not a real walk in `g`.
     pub fn cost(&self, g: &Graph, weights: &[Weight]) -> Option<Weight> {
         let mut total = 0u64;
-        for pair in self.vertices.windows(2) {
-            let arc = g.find_arc(pair[0], pair[1])?;
+        for (u, v) in self.steps() {
+            let arc = g.find_arc(u, v)?;
             total += weights[arc.index()];
         }
         Some(total)
@@ -66,9 +130,7 @@ impl Path {
 
     /// Validates that every consecutive pair is an arc of `g`.
     pub fn is_valid(&self, g: &Graph) -> bool {
-        self.vertices
-            .windows(2)
-            .all(|p| g.find_arc(p[0], p[1]).is_some())
+        self.steps().all(|(u, v)| g.find_arc(u, v).is_some())
     }
 }
 
@@ -150,7 +212,7 @@ mod tests {
         // parents encode 0 -> 1 -> 2.
         let parents = vec![None, Some(VertexId(0)), Some(VertexId(1)), None];
         let p = path_from_parents(VertexId(0), VertexId(2), &parents).unwrap();
-        assert_eq!(p.vertices(), &[VertexId(0), VertexId(1), VertexId(2)]);
+        assert_eq!(p.vertices(), [VertexId(0), VertexId(1), VertexId(2)]);
         assert!(path_from_parents(VertexId(0), VertexId(3), &parents).is_none());
     }
 
@@ -159,5 +221,31 @@ mod tests {
         // Corrupt parent array forming a 1 <-> 2 loop that never reaches 0.
         let parents = vec![None, Some(VertexId(2)), Some(VertexId(1))];
         assert!(path_from_parents(VertexId(0), VertexId(2), &parents).is_none());
+    }
+
+    #[test]
+    fn compact_encoding_roundtrips_any_sequence() {
+        // Forward and backward steps, one-byte and multi-byte deltas, the
+        // largest ids, and a repeated vertex.
+        let seqs: [&[u32]; 4] = [
+            &[5],
+            &[0, 1, 47, 46, 0, u32::MAX, 7, 7],
+            &[u32::MAX, 0, u32::MAX],
+            &[1000, 1001, 1047, 1093, 1092],
+        ];
+        for seq in seqs {
+            let vertices: Vec<VertexId> = seq.iter().map(|&v| VertexId(v)).collect();
+            let p = Path::new(vertices.clone());
+            assert_eq!(p.vertices(), vertices);
+            assert_eq!(p.source(), vertices[0]);
+            assert_eq!(p.target(), *vertices.last().unwrap());
+            assert_eq!(p.hops(), vertices.len() - 1);
+            assert_eq!(p, Path::new(vertices));
+        }
+        // A grid walk of unit and row-width steps takes a byte per step.
+        let walk: Vec<VertexId> = (0..60)
+            .map(|i| VertexId(1000 + 46 * (i / 2) + i % 2))
+            .collect();
+        assert_eq!(Path::new(walk).bytes.len(), 1 + 2 + 59);
     }
 }

@@ -74,32 +74,27 @@ pub const HOT_PATHS: [&str; 9] = [
 
 /// Types that hold raw share words; Debug/Display on them needs a
 /// `// lint: debug-ok(<reason>)` marker (normally a redacted impl).
-pub const SHARE_TYPES: [&str; 7] = [
+pub const SHARE_TYPES: [&str; 6] = [
     "SharedWord",
     "EdaBit",
-    "TripleWord",
     "PartyMaterial",
     "ShareBlock",
     "EdaBitBlock",
-    "TripleBlock",
+    "AdderScratch",
 ];
 
 /// APIs whose return values are unopened share material. Identifiers
 /// `let`-bound from these are *tainted*: branching on them (R4) or
 /// debug-formatting them (R1) is a leak. `less_than*` is deliberately
 /// absent — its output is the protocol's one intentionally revealed bit.
-pub const SHARE_APIS: [&str; 18] = [
+pub const SHARE_APIS: [&str; 14] = [
     "additive_shares",
     "xor_shares",
     "edabit",
-    "triple_word",
-    "edabit_block",
-    "triple_block",
-    "and_many_scalar",
-    "and_block",
     "add_public",
-    "add_public_many_scalar",
     "add_public_block",
+    "g_share",
+    "p_share",
     "xor_words",
     "xor_public",
     "and_public",

@@ -72,8 +72,8 @@ fn share_types_still_exist() {
 fn share_apis_still_exist() {
     let src = secret_sources();
     for api in SHARE_APIS {
-        // Whole names only: `fn and_many` must not be satisfied by
-        // `fn and_many_scalar` once the former is gone.
+        // Whole names only: `fn add_public` must not be satisfied by
+        // `fn add_public_block` if the former is ever removed.
         assert!(
             src.contains(&format!("fn {api}(")) || src.contains(&format!("fn {api}<")),
             "SHARE_APIS entry `{api}` no longer names a function in \

@@ -6,13 +6,14 @@
 //! only the comparison results can reproduce the execution. The auditor
 //! enforces the *structural* half of that argument mechanically:
 //!
-//! 1. every message on the wire has one of the four allowed [`MsgKind`]s —
+//! 1. every message on the wire has one of the three allowed [`MsgKind`]s —
 //!    raw weights or path costs have no representable message type;
-//! 2. the per-kind message counts are exactly what `N` Fed-SAC invocations
+//! 2. the per-kind message counts are exactly what `N` Fed-SAC executions
 //!    produce — no side channel can hide in extra traffic;
-//! 3. the masked openings recorded in a [`Transcript`] are statistically
-//!    consistent with uniform randomness.
+//! 3. the masked and carry-layer openings recorded in a [`Transcript`] are
+//!    statistically consistent with uniform randomness.
 
+use crate::binary::ADDER_ROUNDS;
 use crate::fedsac::{SacEngine, Transcript};
 use crate::net::MsgKind;
 
@@ -30,7 +31,7 @@ pub enum AuditError {
         /// Messages observed.
         observed: u64,
     },
-    /// Masked openings are measurably non-uniform.
+    /// Masked or carry-layer openings are measurably non-uniform.
     BiasedMaskedOpens {
         /// Bit position with the bias.
         bit: usize,
@@ -84,15 +85,14 @@ impl std::error::Error for AuditError {}
 ///
 /// For `N` protocol executions (batched comparisons count once — the
 /// traffic profile is per execution) with `P` parties the expected
-/// per-kind message counts are: `InputShare`: `N·P(P−1)`, `MaskedOpen`:
-/// `N·P(P−1)`, `TripleOpen`: `6N·P(P−1)`, `BitOpen`: `N·P(P−1)`.
+/// per-kind message counts are: `MaskedOpen`: `N·P(P−1)`, `CarryOpen`:
+/// `3N·P(P−1)` (one per carry layer), `BitOpen`: `N·P(P−1)`.
 pub fn audit_engine(engine: &SacEngine, executions: u64) -> Result<(), AuditError> {
     let p = engine.num_parties() as u64;
     let pairwise = p * (p - 1);
-    let expected: [(MsgKind, u64); 4] = [
-        (MsgKind::InputShare, executions * pairwise),
+    let expected: [(MsgKind, u64); 3] = [
         (MsgKind::MaskedOpen, executions * pairwise),
-        (MsgKind::TripleOpen, 6 * executions * pairwise),
+        (MsgKind::CarryOpen, ADDER_ROUNDS * executions * pairwise),
         (MsgKind::BitOpen, executions * pairwise),
     ];
     let counts = engine.kind_counts();
@@ -175,21 +175,23 @@ pub fn audit_constant_trace(profiles: &[TraceProfile]) -> Result<(), AuditError>
     Ok(())
 }
 
-/// Checks per-bit balance of the masked openings in a transcript.
+/// Checks per-bit balance of the masked and the carry-layer openings in
+/// a transcript, each set on its own.
 ///
-/// Requires at least 256 samples; with fewer, the check is vacuous and
-/// returns `Ok` (callers accumulate across a whole query).
+/// A set needs at least 256 samples; with fewer, its check is vacuous
+/// and passes (callers accumulate across a whole query).
 pub fn audit_masked_uniformity(transcript: &Transcript) -> Result<(), AuditError> {
-    let n = transcript.masked_opens.len();
+    check_uniform_bits(&transcript.masked_opens)?;
+    check_uniform_bits(&transcript.carry_opens)
+}
+
+fn check_uniform_bits(words: &[u64]) -> Result<(), AuditError> {
+    let n = words.len();
     if n < 256 {
         return Ok(());
     }
     for bit in 0..64 {
-        let ones = transcript
-            .masked_opens
-            .iter()
-            .filter(|&&m| (m >> bit) & 1 == 1)
-            .count();
+        let ones = words.iter().filter(|&&m| (m >> bit) & 1 == 1).count();
         let frac = ones as f64 / n as f64;
         // Six-sigma band for Bernoulli(0.5): 0.5 ± 3/sqrt(n).
         let band = 3.0 / (n as f64).sqrt();
@@ -291,7 +293,14 @@ mod tests {
         // zero randomness would open the raw differences — small values.
         let leaky = Transcript {
             masked_opens: (0..512u64).map(|i| i % 100).collect(),
-            revealed_bits: vec![],
+            ..Transcript::default()
+        };
+        let err = audit_masked_uniformity(&leaky).unwrap_err();
+        assert!(matches!(err, AuditError::BiasedMaskedOpens { .. }));
+        // The same leak in the carry-layer openings is caught as well.
+        let leaky = Transcript {
+            carry_opens: (0..512u64).map(|i| i % 100).collect(),
+            ..Transcript::default()
         };
         let err = audit_masked_uniformity(&leaky).unwrap_err();
         assert!(matches!(err, AuditError::BiasedMaskedOpens { .. }));

@@ -1,8 +1,8 @@
 //! Flat struct-of-arrays lane buffers for the batched share kernels.
 //!
-//! The batched gates (`and_block`, `add_public_block`,
-//! `less_than_zero_many`) originally carried a `Vec<SharedWord>` — one heap vector per gate —
-//! and cloned them in every Kogge–Stone layer. A [`ShareBlock`] stores the
+//! The batched kernels (`add_public_block`, `less_than_zero_many`)
+//! originally carried a `Vec<SharedWord>` — one heap vector per gate —
+//! and cloned them in every carry layer. A [`ShareBlock`] stores the
 //! same `k` lanes × `n` parties of share words in **one** contiguous
 //! party-major `Vec<u64>` slab (`data[p · lanes + i]` is party `p`'s share
 //! of lane `i`), so the kernels become straight loops over `&[u64]` /
@@ -61,14 +61,6 @@ impl ShareBlock {
         self.data.resize(parties * lanes, 0);
     }
 
-    /// Makes the block a copy of `src`, reusing the allocation.
-    pub(crate) fn copy_from(&mut self, src: &ShareBlock) {
-        self.parties = src.parties;
-        self.lanes = src.lanes;
-        self.data.clear();
-        self.data.extend_from_slice(&src.data);
-    }
-
     /// Packs legacy per-gate shared words (lane-major) into a block.
     /// Every word must have exactly `parties` shares.
     pub fn from_words(parties: usize, words: &[SharedWord]) -> Self {
@@ -122,10 +114,10 @@ impl ShareBlock {
 
 /// Block of `k` edaBits: lane `i` of `arith` additively shares a random
 /// `r_i`, lane `i` of `bits` XOR-shares its bit decomposition. The blocked
-/// twin of `Vec<EdaBit>`, issued by `Dealer::edabit_block` with the exact
+/// twin of `Vec<EdaBit>`, filled by `Dealer::fill_edabits` with the exact
 /// RNG draw order of `k` scalar `edabit()` calls (pinned by test), so block
 /// issuance never perturbs the deterministic dealer stream.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct EdaBitBlock {
     /// Additive shares of the random values, one lane per edaBit.
     pub arith: ShareBlock,
@@ -151,42 +143,6 @@ impl EdaBitBlock {
         EdaBitBlock {
             arith: ShareBlock::zeroed(parties, lanes),
             bits: ShareBlock::zeroed(parties, lanes),
-        }
-    }
-}
-
-/// Block of `k` packed Beaver triple words (`c = a & b` lane-wise), the
-/// blocked twin of `Vec<TripleWord>` with the same determinism guarantee
-/// as [`EdaBitBlock`].
-#[derive(Clone)]
-pub struct TripleBlock {
-    /// XOR shares of the random words `a`.
-    pub a: ShareBlock,
-    /// XOR shares of the random words `b`.
-    pub b: ShareBlock,
-    /// XOR shares of `c = a & b`.
-    pub c: ShareBlock,
-}
-
-// lint: debug-ok(redacted: prints dimensions only, never share words)
-impl std::fmt::Debug for TripleBlock {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "TripleBlock(<redacted, {} lanes x {} parties>)",
-            self.a.lanes(),
-            self.a.parties()
-        )
-    }
-}
-
-impl TripleBlock {
-    /// An all-zero block (filled in by the dealer).
-    pub fn zeroed(parties: usize, lanes: usize) -> Self {
-        TripleBlock {
-            a: ShareBlock::zeroed(parties, lanes),
-            b: ShareBlock::zeroed(parties, lanes),
-            c: ShareBlock::zeroed(parties, lanes),
         }
     }
 }
@@ -248,12 +204,7 @@ mod tests {
     #[test]
     fn debug_is_redacted() {
         let blk = ShareBlock::from_words(2, &[vec![0xDEAD_BEEF, 0x1234]]);
-        let printed = format!(
-            "{:?} {:?} {:?}",
-            blk,
-            EdaBitBlock::zeroed(2, 1),
-            TripleBlock::zeroed(2, 1)
-        );
+        let printed = format!("{:?} {:?}", blk, EdaBitBlock::zeroed(2, 1));
         assert!(!printed.contains("DEAD"), "share words leaked: {printed}");
         assert!(printed.contains("redacted"));
     }

@@ -8,69 +8,62 @@
 //! 1. draw an edaBit `(⟨r⟩ₐ, ⟨bits(r)⟩₂)` from the dealer,
 //! 2. open `m = d + r (mod 2⁶⁴)` — uniformly distributed, reveals nothing,
 //! 3. compute shared bits of `d = m − r = (m+1) + ¬r (mod 2⁶⁴)` with the
-//!    public-plus-shared Kogge–Stone adder,
+//!    public-plus-shared radix-4 carry tree,
 //! 4. open only bit 63.
 //!
-//! Cost per comparison: 8 online rounds (1 masked open + 6 adder layers +
-//! 1 bit open), 1 edaBit, 12 triple words.
+//! Cost per comparison: [`COMPARE_ROUNDS`] = 5 online rounds (1 masked
+//! open + 3 carry layers + 1 bit open), 8 words per party, 1 edaBit and
+//! [`COMPARE_CORR_WORDS`] = 44 correlation words.
 //!
 //! The batched kernel runs on flat party-major buffers end to end
-//! (shared differences as a [`ShareBlock`], edaBit block, flat masked-open
-//! payload, [`add_public_block`], flat bit open), all held in a reusable
-//! [`CompareScratch`]; [`less_than_zero_many_scalar`] retains the original per-gate
-//! implementation as the differential/benchmark reference.
+//! (shared differences as a [`ShareBlock`], the edaBit block, the flat
+//! masked-open payload, [`add_public_block`], the flat bit open), all held
+//! in a reusable [`CompareScratch`].
 
 // Protocol hot path: a malformed message must become a typed error,
 // never a panic (see fedroad-lint rule `no-panic-hot-path`).
 #![deny(clippy::unwrap_used)]
 
-use crate::binary::{
-    add_public_block, add_public_many_scalar, xor_public, AdderScratch, ADDER_ROUNDS,
-    ADDER_TRIPLE_WORDS,
-};
-use crate::block::ShareBlock;
+use crate::binary::{add_public_block, AdderScratch, ADDER_CORR_WORDS, ADDER_ROUNDS};
+use crate::block::{EdaBitBlock, ShareBlock};
 use crate::dealer::Dealer;
 use crate::error::ProtocolError;
+use crate::fedsac::Transcript;
 use crate::net::{Mesh, MsgKind};
 
 /// Online rounds of one [`less_than_zero`] execution.
 pub const COMPARE_ROUNDS: u64 = 1 + ADDER_ROUNDS + 1;
 /// edaBits consumed per comparison.
 pub const COMPARE_EDABITS: u64 = 1;
-/// Triple words consumed per comparison.
-pub const COMPARE_TRIPLE_WORDS: u64 = ADDER_TRIPLE_WORDS;
+/// Correlation words consumed per comparison.
+pub const COMPARE_CORR_WORDS: u64 = ADDER_CORR_WORDS;
 
 /// Reveals whether the additively shared two's-complement value `d` is
 /// negative. `d_shares[p]` is party `p`'s share.
 ///
-/// Each party optionally records the publicly opened masked value into
-/// `opened_mask` (for the audit's uniformity check).
+/// The opened words optionally go into `log` (for the audit's uniformity
+/// check); see [`less_than_zero_many`].
 pub fn less_than_zero(
     mesh: &mut Mesh,
     dealer: &mut Dealer,
     d_shares: &[u64],
-    opened_mask: Option<&mut Vec<u64>>,
+    log: Option<&mut Transcript>,
 ) -> Result<bool, ProtocolError> {
     let d = ShareBlock::from_words(d_shares.len(), &[d_shares.to_vec()]);
-    less_than_zero_many(
-        mesh,
-        dealer,
-        &d,
-        opened_mask,
-        &mut CompareScratch::default(),
-    )?
-    .pop()
-    .ok_or(ProtocolError::MissingOutput)
+    less_than_zero_many(mesh, dealer, &d, log, &mut CompareScratch::default())?
+        .pop()
+        .ok_or(ProtocolError::MissingOutput)
 }
 
 /// Reusable buffers for [`less_than_zero_many`]: the open payloads, the
-/// opened values, the sum bits and the adder's scratch. The caller owns
-/// one and passes it to every call (each `SacEngine` keeps its own), so a
-/// comparison allocates only its result bits and the dealer's blocks.
+/// opened values, the edaBits, the sum bits and the adder's scratch. The
+/// caller owns one and passes it to every call (each `SacEngine` keeps its
+/// own), so a comparison allocates only its result bits.
 #[derive(Default)]
 pub struct CompareScratch {
     payload: Vec<u64>,
     opened: Vec<u64>,
+    eda: EdaBitBlock,
     d_bits: ShareBlock,
     adder: AdderScratch,
 }
@@ -81,16 +74,19 @@ pub struct CompareScratch {
 /// engine of the round-batched priority-queue extension. Lane `i` of `d`
 /// additively shares the `i`-th difference.
 ///
+/// When `log` is given, the opened masked differences are appended to its
+/// `masked_opens` and every opened carry-layer word to its `carry_opens`;
+/// the caller records the result bits.
+///
 /// An empty batch returns `Ok(vec![])` at zero cost, agreeing with
-/// [`add_public_block`] (the kernels used to disagree; regression-tested).
-/// Callers that consider an empty batch a caller bug keep rejecting it at
-/// their own boundary (`SacEngine::less_than_many` returns
-/// [`ProtocolError::EmptyBatch`]).
+/// [`add_public_block`]. Callers that consider an empty batch a caller bug
+/// keep rejecting it at their own boundary (`SacEngine::less_than_many`
+/// returns [`ProtocolError::EmptyBatch`]).
 pub fn less_than_zero_many(
     mesh: &mut Mesh,
     dealer: &mut Dealer,
     d: &ShareBlock,
-    opened_mask: Option<&mut Vec<u64>>,
+    log: Option<&mut Transcript>,
     scratch: &mut CompareScratch,
 ) -> Result<Vec<bool>, ProtocolError> {
     let n = mesh.num_parties();
@@ -107,10 +103,11 @@ pub fn less_than_zero_many(
     let CompareScratch {
         payload,
         opened,
+        eda,
         d_bits,
         adder,
     } = scratch;
-    let eda = dealer.edabit_block(k);
+    dealer.fill_edabits(k, eda);
 
     // Step 2: open all masked differences in one round, the payload built
     // flat and party-major straight from the edaBit slab.
@@ -132,97 +129,33 @@ pub fn less_than_zero_many(
             *m = m.wrapping_add(w);
         }
     }
-    if let Some(log) = opened_mask {
-        log.extend_from_slice(opened);
-    }
+    let carry_log = log.map(|t| {
+        t.masked_opens.extend_from_slice(opened);
+        &mut t.carry_opens
+    });
 
     // Step 3: d = m − r = (m + 1) + ¬r (mod 2⁶⁴), all adders sharing
     // rounds. ¬r is local: party 0 flips its bit shares.
     for m in opened.iter_mut() {
         *m = m.wrapping_add(1);
     }
-    let mut not_r = eda.bits;
-    for v in not_r.party_mut(0) {
+    for v in eda.bits.party_mut(0) {
         *v = !*v;
     }
     d_bits.reset(n, k);
-    add_public_block(mesh, dealer, opened, &not_r, d_bits, adder);
+    add_public_block(mesh, dealer, opened, &eda.bits, d_bits, carry_log, adder);
 
     // Step 4: open only the sign bits, packed into one round.
     for p in 0..n {
         let br = d_bits.party(p);
         let row = &mut payload[p * k..(p + 1) * k];
         for i in 0..k {
-            row[i] = (br[i] >> 63) & 1;
+            row[i] = br[i] >> 63;
         }
     }
     mesh.broadcast_flat(MsgKind::BitOpen, payload, k);
     Ok((0..k)
         .map(|i| (0..n).fold(0u64, |acc, p| acc ^ payload[p * k + i]) == 1)
-        .collect())
-}
-
-/// Scalar reference implementation of [`less_than_zero_many`]: the original
-/// per-gate `Vec<SharedWord>` protocol, retained for the differential suite
-/// and `compare_bench`. Identical results, accounting, and dealer-stream
-/// consumption (pinned by proptest).
-pub fn less_than_zero_many_scalar(
-    mesh: &mut Mesh,
-    dealer: &mut Dealer,
-    d_shares_list: &[Vec<u64>],
-    opened_mask: Option<&mut Vec<u64>>,
-) -> Result<Vec<bool>, ProtocolError> {
-    let n = mesh.num_parties();
-    let k = d_shares_list.len();
-    if k == 0 {
-        return Ok(Vec::new());
-    }
-    if let Some(d) = d_shares_list.iter().find(|d| d.len() != n) {
-        return Err(ProtocolError::WrongSiloCount {
-            expected: n,
-            got: d.len(),
-        });
-    }
-    let edas: Vec<_> = (0..k).map(|_| dealer.edabit()).collect();
-
-    // Step 2: open all masked differences in one round.
-    let words: Vec<Vec<u64>> = (0..n)
-        .map(|p| {
-            d_shares_list
-                .iter()
-                .zip(&edas)
-                .map(|(d, eda)| d[p].wrapping_add(eda.arith[p]))
-                .collect()
-        })
-        .collect();
-    let recv = mesh.broadcast_words(MsgKind::MaskedOpen, &words);
-    let ms: Vec<u64> = (0..k)
-        .map(|i| {
-            recv[0]
-                .iter()
-                .map(|w| w[i])
-                .fold(0u64, |acc, s| acc.wrapping_add(s))
-        })
-        .collect();
-    if let Some(log) = opened_mask {
-        log.extend(&ms);
-    }
-
-    // Step 3: d = m − r = (m + 1) + ¬r (mod 2⁶⁴), all adders sharing rounds.
-    let adder_inputs: Vec<(u64, Vec<u64>)> = ms
-        .iter()
-        .zip(&edas)
-        .map(|(m, eda)| (m.wrapping_add(1), xor_public(&eda.bits, u64::MAX)))
-        .collect();
-    let d_bits = add_public_many_scalar(mesh, dealer, &adder_inputs);
-
-    // Step 4: open only the sign bits, packed into one round.
-    let msb_words: Vec<Vec<u64>> = (0..n)
-        .map(|p| d_bits.iter().map(|bits| (bits[p] >> 63) & 1).collect())
-        .collect();
-    let recv = mesh.broadcast_words(MsgKind::BitOpen, &msb_words);
-    Ok((0..k)
-        .map(|i| recv[0].iter().map(|w| w[i]).fold(0u64, |a, s| a ^ s) == 1)
         .collect())
 }
 
@@ -238,12 +171,11 @@ pub fn account_less_than_zero_many(mesh: &mut Mesh, dealer: &mut Dealer, k: usiz
     if k == 0 {
         return;
     }
-    dealer.account(COMPARE_EDABITS * k as u64, 0);
+    dealer.account(COMPARE_EDABITS * k as u64, COMPARE_CORR_WORDS * k as u64);
     mesh.account_broadcast(MsgKind::MaskedOpen, k);
     for _ in 0..ADDER_ROUNDS {
-        // Two AND-word gates per layer per comparison, ε+δ each.
-        dealer.account(0, 2 * k as u64);
-        mesh.account_broadcast(MsgKind::TripleOpen, 4 * k);
+        // ε and δ per comparison and layer.
+        mesh.account_broadcast(MsgKind::CarryOpen, 2 * k);
     }
     mesh.account_broadcast(MsgKind::BitOpen, k);
 }
@@ -327,8 +259,9 @@ mod tests {
     fn empty_batch_is_free_and_agrees_with_the_adder_kernels() {
         // Regression: this used to be ProtocolError::EmptyBatch while the
         // adder silently returned [] on an empty batch — the batched
-        // kernels now agree (empty in, empty out, zero cost). The engine
-        // boundary still rejects empty Fed-SAC batches as a typed error.
+        // kernel and its accounting twin now agree (empty in, empty out,
+        // zero cost). The engine boundary still rejects empty Fed-SAC
+        // batches as a typed error.
         let mut mesh = Mesh::new(3);
         let mut dealer = Dealer::new(3, 2);
         assert_eq!(
@@ -341,10 +274,6 @@ mod tests {
             ),
             Ok(Vec::new())
         );
-        assert_eq!(
-            less_than_zero_many_scalar(&mut mesh, &mut dealer, &[], None),
-            Ok(Vec::new())
-        );
         account_less_than_zero_many(&mut mesh, &mut dealer, 0);
         assert_eq!(mesh.stats().rounds, 0);
         assert_eq!(dealer.stats().edabits, 0);
@@ -355,10 +284,11 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(23);
         let mut mesh = Mesh::new(2);
         let mut dealer = Dealer::new(2, 9);
-        let mut log = Vec::new();
+        let mut log = Transcript::default();
         let d = shares_of_diff(&mut rng, 2, 3, 9);
         less_than_zero(&mut mesh, &mut dealer, &d, Some(&mut log)).unwrap();
-        assert_eq!(log.len(), 1);
+        assert_eq!(log.masked_opens.len(), 1);
+        assert_eq!(log.carry_opens.len(), 2 * ADDER_ROUNDS as usize);
     }
 
     #[test]
@@ -369,17 +299,56 @@ mod tests {
         let mut rng = ChaCha12Rng::seed_from_u64(29);
         let mut mesh = Mesh::new(2);
         let mut dealer = Dealer::new(2, 31);
-        let mut log = Vec::new();
+        let mut log = Transcript::default();
         for _ in 0..512 {
             let d = shares_of_diff(&mut rng, 2, 5, 7); // constant inputs!
             less_than_zero(&mut mesh, &mut dealer, &d, Some(&mut log)).unwrap();
         }
         for bit in 0..64 {
-            let ones = log.iter().filter(|&&m| (m >> bit) & 1 == 1).count();
+            let ones = log
+                .masked_opens
+                .iter()
+                .filter(|&&m| (m >> bit) & 1 == 1)
+                .count();
             assert!(
                 (128..=384).contains(&ones),
                 "bit {bit} of masked opens is biased: {ones}/512"
             );
+        }
+    }
+
+    #[test]
+    fn carry_layer_opens_look_uniform() {
+        // Every carry-layer opening (ε = G ⊕ a, δ = P ⊕ b, three layers)
+        // must be uniform too, whatever the fixed inputs: each uses a
+        // fresh dealer mask exactly once. Per-bit balance of each of the
+        // six opened words over 512 runs at constant inputs.
+        for (x, y) in [(5u64, 7u64), (7, 5), (1 << 40, 1 << 40)] {
+            let mut rng = ChaCha12Rng::seed_from_u64(37);
+            let mut mesh = Mesh::new(3);
+            let mut dealer = Dealer::new(3, 41);
+            let mut log = Transcript::default();
+            for _ in 0..512 {
+                let d = shares_of_diff(&mut rng, 3, x, y);
+                less_than_zero(&mut mesh, &mut dealer, &d, Some(&mut log)).unwrap();
+            }
+            let per_run = 2 * ADDER_ROUNDS as usize;
+            assert_eq!(log.carry_opens.len(), 512 * per_run);
+            for word in 0..per_run {
+                for bit in 0..64 {
+                    let ones = log
+                        .carry_opens
+                        .iter()
+                        .skip(word)
+                        .step_by(per_run)
+                        .filter(|&&w| (w >> bit) & 1 == 1)
+                        .count();
+                    assert!(
+                        (192..=320).contains(&ones),
+                        "bit {bit} of carry opening {word} is biased for {x} vs {y}: {ones}/512"
+                    );
+                }
+            }
         }
     }
 }

@@ -4,19 +4,26 @@
 //! offline phase produces shared randomness via threshold homomorphic
 //! encryption, optimized with **edaBits**. We substitute a trusted dealer —
 //! the standard simulation technique for semi-honest preprocessing — that
-//! hands out the same two correlated-randomness flavors:
+//! hands out two correlated-randomness flavors:
 //!
 //! * [`EdaBit`]: a uniformly random `r ∈ ℤ₂⁶⁴`, additively shared, together
 //!   with XOR shares of its bit decomposition. Consumed once per masked
 //!   opening.
-//! * [`TripleWord`]: 64 independent binary Beaver triples packed into one
-//!   `u64` word per component (`c = a & b` bitwise). Consumed once per
-//!   shared-AND word gate.
+//! * **carry correlations**: per lane of the radix-4 adder and per carry
+//!   layer, fresh random mask words `a`, `b` and the products of their
+//!   shifts the layer formula needs ([`CARRY_MONOMIALS`]), each XOR-shared.
+//!   [`ADDER_CORR_WORDS`] words per addition.
 //!
+//! Both are written into caller-owned blocks ([`Dealer::fill_edabits`],
+//! [`Dealer::fill_carry_corr`]) so an execution allocates nothing here.
 //! Offline traffic is accounted separately from the online phase (the
 //! paper's evaluation also reports only online costs for queries).
 
-use crate::block::{EdaBitBlock, ShareBlock, TripleBlock};
+use crate::binary::{
+    monomial_of, shifted_masks, ADDER_CORR_WORDS, CARRY_MONOMIALS, CARRY_SHIFTS, LANE_WORDS,
+    LAYER_WORDS,
+};
+use crate::block::{EdaBitBlock, ShareBlock};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
@@ -29,28 +36,10 @@ pub struct EdaBit {
     pub bits: Vec<u64>,
 }
 
-/// One word of 64 packed binary Beaver triples, XOR-shared.
-#[derive(Clone)]
-pub struct TripleWord {
-    /// XOR shares of the random word `a`.
-    pub a: Vec<u64>,
-    /// XOR shares of the random word `b`.
-    pub b: Vec<u64>,
-    /// XOR shares of `c = a & b`.
-    pub c: Vec<u64>,
-}
-
 // lint: debug-ok(redacted: prints party count only, never share words)
 impl std::fmt::Debug for EdaBit {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "EdaBit(<redacted, {} parties>)", self.arith.len())
-    }
-}
-
-// lint: debug-ok(redacted: prints party count only, never share words)
-impl std::fmt::Debug for TripleWord {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TripleWord(<redacted, {} parties>)", self.a.len())
     }
 }
 
@@ -59,8 +48,8 @@ impl std::fmt::Debug for TripleWord {
 pub struct DealerStats {
     /// edaBits issued.
     pub edabits: u64,
-    /// Triple words issued (64 bit-triples each).
-    pub triple_words: u64,
+    /// Carry-correlation words issued (XOR-shared masks and monomials).
+    pub corr_words: u64,
     /// Total bytes of correlated randomness distributed to parties.
     pub bytes: u64,
 }
@@ -99,68 +88,71 @@ impl Dealer {
         EdaBit { arith, bits }
     }
 
-    /// Issues one packed triple word.
-    pub fn triple_word(&mut self) -> TripleWord {
-        let a: u64 = self.rng.gen();
-        let b: u64 = self.rng.gen();
-        let c = a & b;
-        let t = TripleWord {
-            a: xor_shares(&mut self.rng, self.n, a),
-            b: xor_shares(&mut self.rng, self.n, b),
-            c: xor_shares(&mut self.rng, self.n, c),
-        };
-        self.stats.triple_words += 1;
-        self.stats.bytes += (self.n as u64) * 24;
-        t
-    }
-
-    /// Issues `k` edaBits directly into a flat [`EdaBitBlock`].
+    /// Issues `k` edaBits into `out`, reshaped to `k` lanes.
     ///
     /// Draws from the RNG in **exactly** the order `k` scalar
-    /// [`Self::edabit`] calls would (pinned by test), so the blocked fast
-    /// path of the vectorized kernels consumes the same deterministic
-    /// stream as the scalar reference — the property every committed bench
-    /// baseline relies on.
-    pub fn edabit_block(&mut self, k: usize) -> EdaBitBlock {
-        let mut blk = EdaBitBlock::zeroed(self.n, k);
+    /// [`Self::edabit`] calls would (pinned by test), so the deterministic
+    /// stream does not depend on how issuance is batched.
+    pub fn fill_edabits(&mut self, k: usize, out: &mut EdaBitBlock) {
+        out.arith.reset(self.n, k);
+        out.bits.reset(self.n, k);
         for i in 0..k {
             let r: u64 = self.rng.gen();
-            fill_additive_lane(&mut self.rng, self.n, r, &mut blk.arith, i);
-            fill_xor_lane(&mut self.rng, self.n, r, &mut blk.bits, i);
+            fill_additive_lane(&mut self.rng, self.n, r, &mut out.arith, i);
+            fill_xor_lane(&mut self.rng, self.n, r, &mut out.bits, i);
         }
         self.stats.edabits += k as u64;
         self.stats.bytes += (k as u64) * (self.n as u64) * 16;
-        blk
     }
 
-    /// Issues `k` packed triple words directly into a flat [`TripleBlock`],
-    /// with the same draw-order guarantee as [`Self::edabit_block`].
-    pub fn triple_block(&mut self, k: usize) -> TripleBlock {
-        let mut blk = TripleBlock::zeroed(self.n, k);
-        for i in 0..k {
-            let a: u64 = self.rng.gen();
-            let b: u64 = self.rng.gen();
-            let c = a & b;
-            fill_xor_lane(&mut self.rng, self.n, a, &mut blk.a, i);
-            fill_xor_lane(&mut self.rng, self.n, b, &mut blk.b, i);
-            fill_xor_lane(&mut self.rng, self.n, c, &mut blk.c, i);
+    /// Issues the carry correlations of `k` additions into `out`, reshaped
+    /// to `k ·` [`LANE_WORDS`] lanes: party `p`'s row holds lane `i`'s
+    /// words at `i · LANE_WORDS..`, layer after layer, each layer
+    /// `[a, b, CARRY_MONOMIALS…]` ([`LAYER_WORDS`] long).
+    ///
+    /// Lane by lane and layer by layer, the dealer draws `a` and `b`, then
+    /// `P − 1` shares per word, so `k` one-lane calls consume the stream
+    /// exactly like one `k`-lane call.
+    pub fn fill_carry_corr(&mut self, k: usize, out: &mut ShareBlock) {
+        out.reset(self.n, k * LANE_WORDS);
+        let mut values = [0u64; LAYER_WORDS[0]];
+        let mut col = 0;
+        for _ in 0..k {
+            for (&s, &words) in CARRY_SHIFTS.iter().zip(&LAYER_WORDS) {
+                let (a, b): (u64, u64) = (self.rng.gen(), self.rng.gen());
+                let shifted = shifted_masks(a, b, s);
+                values[0] = a;
+                values[1] = b;
+                for (v, &m) in values[2..words].iter_mut().zip(&CARRY_MONOMIALS) {
+                    *v = monomial_of(&shifted, m);
+                }
+                for &v in &values[..words] {
+                    fill_xor_lane(&mut self.rng, self.n, v, out, col);
+                    col += 1;
+                }
+            }
         }
-        self.stats.triple_words += k as u64;
-        self.stats.bytes += (k as u64) * (self.n as u64) * 24;
-        blk
+        self.stats.corr_words += k as u64 * ADDER_CORR_WORDS;
+        self.stats.bytes += k as u64 * ADDER_CORR_WORDS * (self.n as u64) * 8;
     }
 
     /// Accounts the randomness a modeled (non-executing) protocol run would
     /// consume, without generating it.
-    pub fn account(&mut self, edabits: u64, triple_words: u64) {
+    pub fn account(&mut self, edabits: u64, corr_words: u64) {
         self.stats.edabits += edabits;
-        self.stats.triple_words += triple_words;
-        self.stats.bytes += edabits * (self.n as u64) * 16 + triple_words * (self.n as u64) * 24;
+        self.stats.corr_words += corr_words;
+        self.stats.bytes += edabits * (self.n as u64) * 16 + corr_words * (self.n as u64) * 8;
     }
 
     /// Preprocessing statistics so far.
     pub fn stats(&self) -> DealerStats {
         self.stats
+    }
+
+    /// The dealer's next raw RNG word (pins the stream position in tests).
+    #[cfg(test)]
+    pub(crate) fn next_word(&mut self) -> u64 {
+        self.rng.gen()
     }
 }
 
@@ -253,17 +245,30 @@ mod tests {
         }
     }
 
+    /// One lane of carry correlations, per party.
+    fn one_lane(dealer: &mut Dealer) -> Vec<Vec<u64>> {
+        let mut blk = ShareBlock::default();
+        dealer.fill_carry_corr(1, &mut blk);
+        (0..dealer.num_parties())
+            .map(|p| blk.party(p).to_vec())
+            .collect()
+    }
+
     #[test]
-    fn triples_satisfy_and_relation() {
+    fn carry_correlations_satisfy_their_monomials() {
         let mut dealer = Dealer::new(4, 9);
         for _ in 0..50 {
-            let t = dealer.triple_word();
-            let (a, b, c) = (
-                reconstruct_xor(&t.a),
-                reconstruct_xor(&t.b),
-                reconstruct_xor(&t.c),
-            );
-            assert_eq!(c, a & b);
+            let rows = one_lane(&mut dealer);
+            let word = |j: usize| reconstruct_xor(&rows.iter().map(|r| r[j]).collect::<Vec<_>>());
+            let mut offset = 0;
+            for (&s, &words) in CARRY_SHIFTS.iter().zip(&LAYER_WORDS) {
+                let masks = shifted_masks(word(offset), word(offset + 1), s);
+                for (j, &m) in CARRY_MONOMIALS[..words - 2].iter().enumerate() {
+                    assert_eq!(word(offset + 2 + j), monomial_of(&masks, m));
+                }
+                offset += words;
+            }
+            assert_eq!(offset, LANE_WORDS);
         }
     }
 
@@ -272,29 +277,29 @@ mod tests {
         let mut d1 = Dealer::new(3, 42);
         let mut d2 = Dealer::new(3, 42);
         assert_eq!(d1.edabit().arith, d2.edabit().arith);
-        assert_eq!(d1.triple_word().c, d2.triple_word().c);
+        assert_eq!(one_lane(&mut d1), one_lane(&mut d2));
     }
 
     #[test]
     fn accounting_matches_issuance() {
         let mut real = Dealer::new(3, 1);
         real.edabit();
-        real.triple_word();
-        real.triple_word();
+        real.fill_carry_corr(2, &mut ShareBlock::default());
         let mut modeled = Dealer::new(3, 1);
-        modeled.account(1, 2);
+        modeled.account(1, 2 * ADDER_CORR_WORDS);
         assert_eq!(real.stats(), modeled.stats());
     }
 
     #[test]
     fn blocked_issuance_is_bit_identical_to_scalar_issuance() {
         // Same seed: a block of k items must consume the RNG in exactly
-        // the order of k scalar calls and hand out the same shares — the
+        // the order of k one-item calls and hand out the same shares — the
         // determinism every committed bench baseline depends on.
         for n in [2usize, 3, 5] {
             let mut scalar = Dealer::new(n, 77);
             let mut blocked = Dealer::new(n, 77);
-            let eb = blocked.edabit_block(4);
+            let mut eb = EdaBitBlock::default();
+            blocked.fill_edabits(4, &mut eb);
             for i in 0..4 {
                 let e = scalar.edabit();
                 for p in 0..n {
@@ -302,13 +307,12 @@ mod tests {
                     assert_eq!(eb.bits.get(p, i), e.bits[p]);
                 }
             }
-            let tb = blocked.triple_block(3);
+            let mut cb = ShareBlock::default();
+            blocked.fill_carry_corr(3, &mut cb);
             for i in 0..3 {
-                let t = scalar.triple_word();
-                for p in 0..n {
-                    assert_eq!(tb.a.get(p, i), t.a[p]);
-                    assert_eq!(tb.b.get(p, i), t.b[p]);
-                    assert_eq!(tb.c.get(p, i), t.c[p]);
+                let rows = one_lane(&mut scalar);
+                for (p, row) in rows.iter().enumerate() {
+                    assert_eq!(&cb.party(p)[i * LANE_WORDS..(i + 1) * LANE_WORDS], &row[..]);
                 }
             }
             assert_eq!(scalar.stats(), blocked.stats());

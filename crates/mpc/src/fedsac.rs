@@ -9,7 +9,9 @@
 //! [`SacEngine`] exposes two interchangeable backends:
 //!
 //! * [`SacBackend::Real`] executes the full secret-sharing protocol:
-//!   input sharing, masked opening, Kogge–Stone sign extraction.
+//!   each silo's local difference `a[p] − b[p]` is already an additive
+//!   share of the joint difference, so the protocol starts at the masked
+//!   opening and extracts the sign with the radix-4 carry tree.
 //! * [`SacBackend::Modeled`] computes the comparison directly but runs the
 //!   *identical* cost accounting, enabling large experiment sweeps. A test
 //!   pins the two backends to identical results and statistics.
@@ -26,8 +28,6 @@ use crate::dealer::{Dealer, DealerStats};
 use crate::duels::{validate, Duels};
 use crate::error::ProtocolError;
 use crate::net::{Mesh, MsgKind, NetStats, NetworkModel};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha12Rng;
 
 /// Execution backend of a [`SacEngine`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,8 +38,9 @@ pub enum SacBackend {
     Modeled,
 }
 
-/// Rounds per full Fed-SAC invocation (input-sharing round + comparison).
-pub const FEDSAC_ROUNDS: u64 = 1 + COMPARE_ROUNDS;
+/// Rounds per full Fed-SAC invocation: the comparison's, since there is
+/// no input-sharing round.
+pub const FEDSAC_ROUNDS: u64 = COMPARE_ROUNDS;
 
 /// Aggregated statistics of an engine.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -63,7 +64,7 @@ impl SacStats {
         self.invocations += other.invocations;
         self.net.merge(&other.net);
         self.dealer.edabits += other.dealer.edabits;
-        self.dealer.triple_words += other.dealer.triple_words;
+        self.dealer.corr_words += other.dealer.corr_words;
         self.dealer.bytes += other.dealer.bytes;
     }
 
@@ -83,7 +84,7 @@ impl SacStats {
             },
             dealer: DealerStats {
                 edabits: self.dealer.edabits - baseline.dealer.edabits,
-                triple_words: self.dealer.triple_words - baseline.dealer.triple_words,
+                corr_words: self.dealer.corr_words - baseline.dealer.corr_words,
                 bytes: self.dealer.bytes - baseline.dealer.bytes,
             },
         }
@@ -92,19 +93,21 @@ impl SacStats {
 
 /// Optional recording of everything the protocol publicly reveals — the
 /// material for the simulation-paradigm security argument (§VII): a party's
-/// view is exactly (uniform masked opens, uniform triple opens, result
+/// view is exactly (uniform masked opens, uniform carry-layer opens, result
 /// bits), so a simulator given only the result bits can reproduce it.
 #[derive(Clone, Debug, Default)]
 pub struct Transcript {
     /// Publicly opened masked differences (uniform by construction).
     pub masked_opens: Vec<u64>,
+    /// Publicly opened carry-layer words `ε = G ⊕ a`, `δ = P ⊕ b`, per
+    /// execution layer by layer (uniform by construction).
+    pub carry_opens: Vec<u64>,
     /// The revealed comparison bits, in invocation order.
     pub revealed_bits: Vec<bool>,
 }
 
 /// Buffers a `Real` execution works in, kept by the engine across calls
-/// so a batch-1 Fed-SAC allocates only its result bits and the dealer's
-/// blocks.
+/// so a Fed-SAC allocates only its result bits.
 #[derive(Default)]
 struct Scratch {
     /// Party-major shares of the differences `d_i = Σa_i − Σb_i`.
@@ -126,8 +129,6 @@ pub struct SacEngine {
     backend: SacBackend,
     mesh: Mesh,
     dealer: Dealer,
-    /// Per-party randomness for input sharing.
-    rngs: Vec<ChaCha12Rng>,
     invocations: u64,
     batches: u64,
     transcript: Option<Transcript>,
@@ -141,13 +142,6 @@ impl SacEngine {
             backend,
             mesh: Mesh::new(num_parties),
             dealer: Dealer::new(num_parties, seed),
-            rngs: (0..num_parties)
-                .map(|p| {
-                    ChaCha12Rng::seed_from_u64(
-                        seed ^ 0x1A7E_17C0_0000_0000 ^ (p as u64).wrapping_mul(0x9E37_79B9),
-                    )
-                })
-                .collect(),
             invocations: 0,
             batches: 0,
             transcript: None,
@@ -250,7 +244,6 @@ impl SacEngine {
                     })
                     .collect();
                 // …and identical cost accounting.
-                self.mesh.account_scatter(MsgKind::InputShare, 2 * k);
                 account_less_than_zero_many(&mut self.mesh, &mut self.dealer, k);
                 Ok(results)
             }
@@ -289,45 +282,20 @@ impl SacEngine {
     ) -> Result<Vec<bool>, ProtocolError> {
         let n = self.num_parties();
         let k = duels.count();
-        // Round 1: every party additively shares each of its inputs —
-        // duel by duel, path A before path B, `P − 1` draws from its own
-        // RNG apiece — and sends share `q` to party `q`, who folds it
-        // straight into its share of `d_i = Σa_i − Σb_i` (lane `i`).
+        // Silo p's local difference a[p] − b[p] is its additive share of
+        // d_i = Σa_i − Σb_i: no input-sharing round. The comparison masks
+        // it with p's edaBit share before anything leaves the silo.
         let Scratch { d, compare } = &mut self.scratch;
         d.reset(n, k);
-        for (p, rng) in self.rngs.iter_mut().enumerate() {
-            for i in 0..k {
-                let (a, b) = duels.duel(i);
-                fold_sharing(rng, a[p], d, i, u64::wrapping_add);
-                fold_sharing(rng, b[p], d, i, u64::wrapping_sub);
+        for i in 0..k {
+            let (a, b) = duels.duel(i);
+            for p in 0..n {
+                d.set(p, i, a[p].wrapping_sub(b[p]));
             }
         }
-        self.mesh.account_scatter(MsgKind::InputShare, 2 * k);
-
-        let opened_log = self.transcript.as_mut().map(|t| &mut t.masked_opens);
-        less_than_zero_many(&mut self.mesh, &mut self.dealer, d, opened_log, compare)
+        let log = self.transcript.as_mut();
+        less_than_zero_many(&mut self.mesh, &mut self.dealer, d, log, compare)
     }
-}
-
-/// Splits `value` into fresh additive shares — `P − 1` draws from `rng`,
-/// the last share fixing the sum, in the order of
-/// [`additive_shares`](crate::dealer::additive_shares) — and folds share
-/// `q` into party `q`'s word of lane `lane` of `d` with `fold`.
-fn fold_sharing(
-    rng: &mut ChaCha12Rng,
-    value: u64,
-    d: &mut ShareBlock,
-    lane: usize,
-    fold: fn(u64, u64) -> u64,
-) {
-    let last = d.parties() - 1;
-    let mut rest = value;
-    for q in 0..last {
-        let share: u64 = rng.gen();
-        rest = rest.wrapping_sub(share);
-        d.set(q, lane, fold(d.get(q, lane), share));
-    }
-    d.set(last, lane, fold(d.get(last, lane), rest));
 }
 
 impl SacEngine {
@@ -382,14 +350,46 @@ mod tests {
     }
 
     #[test]
+    fn real_and_modeled_stats_agree_across_batch_sizes_and_party_counts() {
+        let mut rng = ChaCha12Rng::seed_from_u64(4);
+        for p in [2usize, 3, 5, 8] {
+            let mut real = SacEngine::new(p, SacBackend::Real, 11);
+            let mut modeled = SacEngine::new(p, SacBackend::Modeled, 11);
+            for k in [1usize, 2, 7] {
+                let pairs: Vec<(Vec<u64>, Vec<u64>)> = (0..k)
+                    .map(|_| {
+                        (
+                            (0..p).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
+                            (0..p).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
+                        )
+                    })
+                    .collect();
+                assert_eq!(
+                    real.less_than_many(&pairs).unwrap(),
+                    modeled.less_than_many(&pairs).unwrap()
+                );
+                assert_eq!(
+                    real.cumulative_stats(),
+                    modeled.cumulative_stats(),
+                    "{p} parties, batch {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn per_invocation_costs_match_the_documented_constants() {
         let mut eng = SacEngine::new(3, SacBackend::Real, 1);
         eng.less_than(&[1, 2, 3], &[4, 5, 6]).unwrap();
         let s = eng.cumulative_stats();
         assert_eq!(s.invocations, 1);
         assert_eq!(s.net.rounds, FEDSAC_ROUNDS);
+        assert_eq!(FEDSAC_ROUNDS, 5);
         assert_eq!(s.dealer.edabits, 1);
-        assert_eq!(s.dealer.triple_words, 12);
+        assert_eq!(s.dealer.corr_words, 44);
+        // 8 words per party: 1 masked open, 3 × (ε, δ), 1 bit.
+        assert_eq!(s.net.per_party_bytes, 8 * 2 * 8);
+        assert_eq!(s.net.bytes, 384);
     }
 
     #[test]
@@ -513,69 +513,30 @@ mod tests {
     }
 
     #[test]
-    fn flat_input_sharing_reproduces_the_golden_transcript() {
-        // Captured from the nested-`Vec` input sharing this kernel
-        // replaced: 3 parties, engine seed 2024, batches of 1, 2 and 7
-        // duels. Masked opens and bits pin the comparison; the last
-        // batch's d-shares and each party's next RNG word pin the
-        // per-party draw order bit for bit.
+    fn local_difference_opening_reproduces_the_golden_transcript() {
+        // Captured from the five-round protocol (local-difference masked
+        // open, radix-4 carry tree): 3 parties, engine seed 2024, batches
+        // of 1, 2 and 7 duels. Masked opens and bits pin the comparison
+        // (the bits equal those of the nine-round protocol this replaced),
+        // the XOR of every carry-layer opening pins the carry tree, and
+        // the dealer's next word pins its draw order bit for bit.
         const OPENS: [u64; 10] = [
             18097864130231201564,
-            8479594784090368310,
-            567400744096768551,
-            10953953508791757706,
-            3956886955059130173,
-            6289767640713437390,
-            12244557805372493067,
-            1064027783825994651,
-            15963551611850143350,
-            2851925611830971213,
+            16976085578824223861,
+            8752377709497869941,
+            17450244346483487784,
+            5346171823433789205,
+            15282831507933741887,
+            2046538966142491630,
+            16667219226224125238,
+            4818703609732646150,
+            9094763966036418209,
         ];
         const BITS: [bool; 10] = [
             false, true, false, true, true, true, false, false, false, true,
         ];
-        const D: [[u64; 3]; 7] = [
-            [
-                1849063681097547849,
-                4749170354454529559,
-                11848509757145806458,
-            ],
-            [
-                15435035305884900581,
-                8053249095313229498,
-                13405202878161718216,
-            ],
-            [
-                12643819324895013701,
-                5340123158360323518,
-                462801127715096585,
-            ],
-            [
-                17442296800145040537,
-                17577915736615188833,
-                1873276720860155594,
-            ],
-            [
-                14401813202612914058,
-                16862290758889419204,
-                5629384995311264160,
-            ],
-            [
-                10543727850236603959,
-                3531101238685708581,
-                4371915047654870642,
-            ],
-            [
-                160586978022041883,
-                1081144356535200558,
-                17205011802153206060,
-            ],
-        ];
-        const NEXT: [u64; 3] = [
-            11085432042699841975,
-            1105800171160942987,
-            11526618714438031644,
-        ];
+        const CARRY_FOLD: u64 = 14573346829648377103;
+        const NEXT: u64 = 9467643573749716919;
         let mut rng = ChaCha12Rng::seed_from_u64(0x601D);
         let mut eng = SacEngine::new(3, SacBackend::Real, 2024);
         eng.enable_transcript();
@@ -590,12 +551,14 @@ mod tests {
                 .collect();
             eng.less_than_many(&pairs).unwrap();
         }
+        let next = eng.dealer.next_word();
         let t = eng.transcript().unwrap();
+        let fold = t.carry_opens.iter().fold(0, |acc, w| acc ^ w);
         assert_eq!(t.masked_opens, OPENS);
         assert_eq!(t.revealed_bits, BITS);
-        assert_eq!(eng.scratch.d.to_words(), D.map(Vec::from));
-        let next = eng.rngs.iter_mut().map(|r| r.gen::<u64>());
-        assert_eq!(next.collect::<Vec<u64>>(), NEXT);
+        assert_eq!(t.carry_opens.len(), 10 * 6);
+        assert_eq!(fold, CARRY_FOLD);
+        assert_eq!(next, NEXT);
     }
 
     #[test]

@@ -11,14 +11,14 @@
 //!
 //! * [`net`] — an in-process full-mesh party network with per-round
 //!   byte/message accounting and the paper's `R·(L + S/B)` time model.
-//! * [`dealer`] — the one trusted dealer: edaBits and packed binary
-//!   Beaver triples (the Temi offline phase's stand-in), which every
-//!   kernel draws inline, on the calling thread, in a per-seed
-//!   deterministic order.
+//! * [`dealer`] — the one trusted dealer: edaBits and carry-layer
+//!   correlations (masks and their monomials; the Temi offline phase's
+//!   stand-in), which every kernel draws inline, on the calling thread,
+//!   into caller-owned blocks, in a per-seed deterministic order.
 //! * [`block`] — flat party-major struct-of-arrays lane buffers
 //!   ([`ShareBlock`]) backing the batched kernels.
-//! * [`binary`] — XOR-shared word gates; Beaver AND; a Kogge–Stone adder.
-//! * [`compare`] — masked-opening sign extraction (`8` online rounds).
+//! * [`binary`] — XOR-shared word gates; the radix-4 carry-tree adder.
+//! * [`compare`] — masked-opening sign extraction (`5` online rounds).
 //! * [`duels`] — Fed-SAC input batches: the [`Duels`] read trait and the
 //!   flat, reusable [`DuelBuf`].
 //! * [`fedsac`] — the [`SacEngine`] with `Real` and
@@ -63,7 +63,7 @@ pub use audit::{
     audit_constant_trace, audit_engine, audit_masked_uniformity, trace_profile, AuditError,
     BitReplaySimulator, TraceProfile,
 };
-pub use block::{EdaBitBlock, ShareBlock, TripleBlock};
+pub use block::{EdaBitBlock, ShareBlock};
 pub use duels::{DuelBuf, Duels};
 pub use error::ProtocolError;
 pub use fedsac::{SacBackend, SacEngine, SacStats, Transcript, FEDSAC_ROUNDS};

@@ -23,24 +23,18 @@ pub struct PartyId(pub usize);
 /// [`crate::audit::audit_engine`] checks the transcript against an allow-list.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MsgKind {
-    /// A fresh additive share of a party's private input.
-    InputShare,
     /// A share of a value masked by dealer randomness, about to be opened.
     MaskedOpen,
-    /// The `ε`/`δ` openings of a Beaver-triple AND gate.
-    TripleOpen,
+    /// The `ε`/`δ` openings of a carry layer: generate/propagate shares
+    /// masked by fresh dealer words.
+    CarryOpen,
     /// A share of a final comparison-result bit.
     BitOpen,
 }
 
 impl MsgKind {
     /// All kinds a semi-honest FedRoad protocol run may produce.
-    pub const ALLOWED: [MsgKind; 4] = [
-        MsgKind::InputShare,
-        MsgKind::MaskedOpen,
-        MsgKind::TripleOpen,
-        MsgKind::BitOpen,
-    ];
+    pub const ALLOWED: [MsgKind; 3] = [MsgKind::MaskedOpen, MsgKind::CarryOpen, MsgKind::BitOpen];
 }
 
 /// Aggregate traffic statistics of a [`Mesh`].
@@ -169,12 +163,6 @@ impl Mesh {
         self.stats.per_party_bytes += (n - 1) * (word_len as u64) * 8;
         *self.kind_counts.entry(kind).or_insert(0) += n * (n - 1);
     }
-
-    /// Accounts a scatter (point-to-point) round; see [`Self::account_broadcast`].
-    pub fn account_scatter(&mut self, kind: MsgKind, word_len: usize) {
-        // Identical traffic shape to a broadcast of the same width.
-        self.account_broadcast(kind, word_len);
-    }
 }
 
 /// Latency/bandwidth model turning [`NetStats`] into modeled wall-clock
@@ -247,10 +235,10 @@ mod tests {
     fn flat_broadcast_accounts_like_the_nested_one() {
         let mut nested = Mesh::new(3);
         let words = vec![vec![1u64, 2], vec![3, 4], vec![5, 6]];
-        nested.broadcast_words(MsgKind::TripleOpen, &words);
+        nested.broadcast_words(MsgKind::CarryOpen, &words);
 
         let mut flat = Mesh::new(3);
-        flat.broadcast_flat(MsgKind::TripleOpen, &[1, 2, 3, 4, 5, 6], 2);
+        flat.broadcast_flat(MsgKind::CarryOpen, &[1, 2, 3, 4, 5, 6], 2);
         assert_eq!(flat.stats(), nested.stats());
         assert_eq!(flat.kind_counts(), nested.kind_counts());
     }
@@ -259,10 +247,10 @@ mod tests {
     fn accounting_matches_real_exchange() {
         let mut real = Mesh::new(4);
         let words = vec![vec![1u64, 2], vec![3, 4], vec![5, 6], vec![7, 8]];
-        real.broadcast_words(MsgKind::TripleOpen, &words);
+        real.broadcast_words(MsgKind::CarryOpen, &words);
 
         let mut modeled = Mesh::new(4);
-        modeled.account_broadcast(MsgKind::TripleOpen, 2);
+        modeled.account_broadcast(MsgKind::CarryOpen, 2);
         assert_eq!(real.stats(), modeled.stats());
     }
 
@@ -347,7 +335,7 @@ mod tests {
         mesh.account_broadcast(MsgKind::MaskedOpen, 4);
         let before = mesh.stats();
         mesh.account_broadcast(MsgKind::BitOpen, 2);
-        mesh.account_scatter(MsgKind::InputShare, 1);
+        mesh.account_broadcast(MsgKind::CarryOpen, 1);
         let delta = mesh.stats().delta_since(&before);
         assert_eq!(delta.rounds, 2);
         assert_eq!(delta.messages, 12);

@@ -14,11 +14,11 @@
 // never a panic (see fedroad-lint rule `no-panic-hot-path`).
 #![deny(clippy::unwrap_used)]
 
-use crate::dealer::{additive_shares, Dealer};
+use crate::binary::{CarryCoeffs, CARRY_SHIFTS, LAYER_WORDS};
+use crate::block::ShareBlock;
+use crate::dealer::Dealer;
 use crate::error::ProtocolError;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use rand::SeedableRng;
-use rand_chacha::ChaCha12Rng;
 use std::thread;
 
 /// Per-party slice of the preprocessing material for one comparison.
@@ -28,17 +28,18 @@ struct PartyMaterial {
     eda_arith: u64,
     /// XOR share of `bits(r)`.
     eda_bits: u64,
-    /// XOR shares of the 12 packed triples `(a, b, c)`.
-    triples: Vec<(u64, u64, u64)>,
+    /// XOR shares of the three carry layers' correlation words, layer
+    /// after layer (`[a, b, monomials…]`, see [`LAYER_WORDS`]).
+    corr: Vec<u64>,
 }
 
-// lint: debug-ok(redacted: prints triple count only, never share words)
+// lint: debug-ok(redacted: prints word count only, never share words)
 impl std::fmt::Debug for PartyMaterial {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "PartyMaterial(<redacted, {} triples>)",
-            self.triples.len()
+            "PartyMaterial(<redacted, {} correlation words>)",
+            self.corr.len()
         )
     }
 }
@@ -48,14 +49,15 @@ impl std::fmt::Debug for PartyMaterial {
 fn deal(dealer: &mut Dealer, comparisons: usize) -> Vec<Vec<PartyMaterial>> {
     let num_parties = dealer.num_parties();
     let mut out: Vec<Vec<PartyMaterial>> = vec![Vec::with_capacity(comparisons); num_parties];
+    let mut corr = ShareBlock::default();
     for _ in 0..comparisons {
         let eda = dealer.edabit();
-        let triples: Vec<_> = (0..12).map(|_| dealer.triple_word()).collect();
+        dealer.fill_carry_corr(1, &mut corr);
         for (p, slot) in out.iter_mut().enumerate() {
             slot.push(PartyMaterial {
                 eda_arith: eda.arith[p],
                 eda_bits: eda.bits[p],
-                triples: triples.iter().map(|t| (t.a[p], t.b[p], t.c[p])).collect(),
+                corr: corr.party(p).to_vec(),
             });
         }
     }
@@ -109,7 +111,7 @@ impl Links {
     }
 }
 
-/// Party-local Kogge–Stone comparison: returns this party's share of the
+/// Party-local radix-4 carry tree: returns this party's share of the
 /// result bit after the masked opening of `m`.
 fn compare_local(
     links: &Links,
@@ -128,26 +130,18 @@ fn compare_local(
     let mut pw = if party == 0 { m_pub ^ s } else { s };
     let p0 = pw;
 
-    let mut triple_idx = 0;
-    for shift in [1u32, 2, 4, 8, 16, 32] {
-        let g_sh = g << shift;
-        let p_sh = pw << shift;
-        // Two AND gates per layer, opened in one exchange.
-        let (a1, b1, c1) = material.triples[triple_idx];
-        let (a2, b2, c2) = material.triples[triple_idx + 1];
-        triple_idx += 2;
-        let msg = vec![pw ^ a1, g_sh ^ b1, pw ^ a2, p_sh ^ b2];
-        let recv = links.exchange(msg)?;
-        let fold = |k: usize| recv.iter().fold(0u64, |acc, w| acc ^ w[k]);
-        let (e1, d1, e2, d2) = (fold(0), fold(1), fold(2), fold(3));
-        let mut z1 = c1 ^ (e1 & b1) ^ (d1 & a1);
-        let mut z2 = c2 ^ (e2 & b2) ^ (d2 & a2);
-        if party == 0 {
-            z1 ^= e1 & d1;
-            z2 ^= e2 & d2;
+    let mut offset = 0;
+    for (layer, (&shift, &words)) in CARRY_SHIFTS.iter().zip(&LAYER_WORDS).enumerate() {
+        let w = &material.corr[offset..offset + words];
+        // Open ε = G ⊕ a and δ = P ⊕ b in one exchange.
+        let recv = links.exchange(vec![g ^ w[0], pw ^ w[1]])?;
+        let fold = |k: usize| recv.iter().fold(0u64, |acc, v| acc ^ v[k]);
+        let c = CarryCoeffs::new(fold(0), fold(1), shift);
+        g = c.g_share(w, party == 0);
+        if layer + 1 < CARRY_SHIFTS.len() {
+            pw = c.p_share(w, party == 0);
         }
-        g ^= z1;
-        pw = z2;
+        offset += words;
     }
     Ok(((p0 ^ (g << 1)) >> 63) & 1)
 }
@@ -173,14 +167,9 @@ fn party_main(
     links: Links,
     inputs: Vec<(u64, u64)>,
     material: Vec<PartyMaterial>,
-    input_seed: u64,
     fault: Option<PartyFault>,
 ) -> Result<Vec<bool>, ProtocolError> {
-    let n = links.to.len();
     let party = links.party;
-    let mut rng = ChaCha12Rng::seed_from_u64(
-        input_seed ^ 0x7123_0000 ^ (party as u64).wrapping_mul(0x9E37_79B9),
-    );
     let mut results = Vec::with_capacity(inputs.len());
 
     for (i, &(a, b)) in inputs.iter().enumerate() {
@@ -190,35 +179,18 @@ fn party_main(
                 panic!("{}", f.message);
             }
         }
-        // Round 1: share both inputs (point-to-point). Our exchange is a
-        // broadcast primitive, so pack per-recipient shares positionally:
-        // every party broadcasts all its shares; recipients pick their
-        // column. (The lockstep engine scatters; traffic shape identical.)
-        let sa = additive_shares(&mut rng, n, a);
-        let sb = additive_shares(&mut rng, n, b);
-        let mut msg = Vec::with_capacity(2 * n);
-        for q in 0..n {
-            msg.push(sa[q]);
-            msg.push(sb[q]);
-        }
-        let recv = links.exchange(msg)?;
-        let a_share = recv
-            .iter()
-            .fold(0u64, |acc, w| acc.wrapping_add(w[2 * party]));
-        let b_share = recv
-            .iter()
-            .fold(0u64, |acc, w| acc.wrapping_add(w[2 * party + 1]));
-        let d_share = a_share.wrapping_sub(b_share);
-
-        // Round 2: masked opening of d + r.
+        // Round 1: masked opening of d + r. The local difference a − b is
+        // already this party's additive share of d, so nothing else is
+        // sent first.
         let mat = &material[i];
+        let d_share = a.wrapping_sub(b);
         let recv = links.exchange(vec![d_share.wrapping_add(mat.eda_arith)])?;
         let m = recv.iter().fold(0u64, |acc, w| acc.wrapping_add(w[0]));
 
-        // Rounds 3–8: sign extraction; round 9: open the bit.
+        // Rounds 2–4: sign extraction; round 5: open the bit.
         let bit_share = compare_local(&links, party, m, mat)?;
         let recv = links.exchange(vec![bit_share])?;
-        // lint: public-ok(round 9 opens the bit: the XOR-fold of all bit shares is the protocol output)
+        // lint: public-ok(round 5 opens the bit: the XOR-fold of all bit shares is the protocol output)
         let bit = recv.iter().fold(0u64, |acc, w| acc ^ w[0]);
         results.push(bit == 1);
     }
@@ -255,7 +227,7 @@ pub fn run_comparisons_with_fault(
     // every committed baseline was recorded against.
     let mut dealer = Dealer::new(num_parties, seed);
     let material = deal(&mut dealer, inputs.len());
-    run_with_material(num_parties, inputs, material, seed, fault)
+    run_with_material(num_parties, inputs, material, fault)
 }
 
 fn validate_inputs(
@@ -282,7 +254,6 @@ fn run_with_material(
     num_parties: usize,
     inputs: &[(Vec<u64>, Vec<u64>)],
     material: Vec<Vec<PartyMaterial>>,
-    seed: u64,
     fault: Option<PartyFault>,
 ) -> Result<Vec<bool>, ProtocolError> {
     // Full-mesh channels.
@@ -311,7 +282,7 @@ fn run_with_material(
         let my_inputs: Vec<(u64, u64)> = inputs.iter().map(|(a, b)| (a[p], b[p])).collect();
         let my_material = material[p].clone();
         handles.push(thread::spawn(move || {
-            party_main(links, my_inputs, my_material, seed, fault)
+            party_main(links, my_inputs, my_material, fault)
         }));
     }
 
@@ -355,7 +326,8 @@ fn run_with_material(
 mod tests {
     use super::*;
     use crate::fedsac::{SacBackend, SacEngine};
-    use rand::Rng;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha12Rng;
 
     fn random_inputs(n: usize, count: usize, seed: u64) -> Vec<(Vec<u64>, Vec<u64>)> {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
@@ -382,12 +354,16 @@ mod tests {
 
     #[test]
     fn threaded_matches_lockstep_engine() {
-        let n = 3;
-        let inputs = random_inputs(n, 80, 13);
-        let threaded = run_comparisons(n, &inputs, 21).unwrap();
-        let mut engine = SacEngine::new(n, SacBackend::Real, 5);
-        for ((a, b), bit) in inputs.iter().zip(&threaded) {
-            assert_eq!(engine.less_than(a, b).unwrap(), *bit);
+        for n in [2usize, 3, 5] {
+            let inputs = random_inputs(n, 80, 13);
+            let threaded = run_comparisons(n, &inputs, 21).unwrap();
+            let mut engine = SacEngine::new(n, SacBackend::Real, 5);
+            for ((a, b), bit) in inputs.iter().zip(&threaded) {
+                assert_eq!(engine.less_than(a, b).unwrap(), *bit, "{n} parties");
+            }
+            // One batched lockstep execution reveals the same bits too.
+            let mut batched = SacEngine::new(n, SacBackend::Real, 21);
+            assert_eq!(batched.less_than_many(&inputs).unwrap(), threaded);
         }
     }
 

@@ -71,7 +71,7 @@ proptest! {
     fn injected_message_fails_the_audit(
         parties in 2usize..5,
         victim in 1usize..4,
-        kind_idx in 0usize..4,
+        kind_idx in 0usize..MsgKind::ALLOWED.len(),
         a in 0u64..(1u64 << 50),
         b in 0u64..(1u64 << 50),
         seed: u64,

@@ -2,11 +2,11 @@
 //! comparison protocol, the threaded runner, and the round scheduler, on
 //! arbitrary inputs.
 
-use fedroad_mpc::binary::{add_public, and_block, open_word, xor_public, AndScratch};
+use fedroad_mpc::binary::{add_public, open_word, xor_public};
 use fedroad_mpc::dealer::{
     additive_shares, reconstruct_additive, reconstruct_xor, xor_shares, Dealer,
 };
-use fedroad_mpc::{Mesh, MsgKind, SacBackend, SacEngine, ShareBlock};
+use fedroad_mpc::{Mesh, MsgKind, SacBackend, SacEngine};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
@@ -24,25 +24,6 @@ proptest! {
     fn xor_shares_roundtrip(v: u64, n in 2usize..9, seed: u64) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
         prop_assert_eq!(reconstruct_xor(&xor_shares(&mut rng, n, v)), v);
-    }
-
-    #[test]
-    fn beaver_and_is_bitwise_and(x: u64, y: u64, n in 2usize..6, seed: u64) {
-        let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let mut mesh = Mesh::new(n);
-        let mut dealer = Dealer::new(n, seed);
-        let xs = xor_shares(&mut rng, n, x);
-        let ys = xor_shares(&mut rng, n, y);
-        let mut z = ShareBlock::zeroed(n, 1);
-        and_block(
-            &mut mesh,
-            &mut dealer,
-            &ShareBlock::from_words(n, &[xs]),
-            &ShareBlock::from_words(n, &[ys]),
-            &mut z,
-            &mut AndScratch::default(),
-        );
-        prop_assert_eq!(reconstruct_xor(&z.to_words()[0]), x & y);
     }
 
     #[test]

@@ -110,11 +110,11 @@ fn throughput_coalescing_wins_and_writes_schema_checked_records() {
 }
 
 /// The comparison-kernel microbench must run green in quick mode, keep
-/// its cross-arm consistency asserts (bit-identical results, identical
-/// network traces, identical dealer accounting), and write a
-/// schema-checked `BENCH_compare.json`. Speedup thresholds are
-/// deliberately not asserted here: under `cargo test` this builds in the
-/// debug profile, where relative kernel timings are meaningless.
+/// its answer check (every revealed bit is the sign of its difference)
+/// and the protocol's per-comparison costs, and write a schema-checked
+/// `BENCH_compare.json`. Rate thresholds are deliberately not asserted
+/// here: under `cargo test` this builds in the debug profile, where
+/// kernel timings are meaningless.
 #[test]
 fn compare_bench_runs_and_writes_schema_checked_records() {
     let report = fedroad_bench::comparebench::run(true);
@@ -130,10 +130,11 @@ fn compare_bench_runs_and_writes_schema_checked_records() {
         fedroad_bench::comparebench::BATCH_SIZES.len()
     );
     for row in &report.rows {
-        assert!(row.scalar_cps > 0.0 && row.vectorized_cps > 0.0);
+        assert!(row.cps > 0.0);
         assert_eq!(row.comparisons, (row.reps * row.batch) as u64);
+        assert_eq!(row.net_rounds, row.reps as u64 * fedroad::FEDSAC_ROUNDS);
         assert_eq!(row.edabits, row.comparisons);
-        assert_eq!(row.triple_words, row.comparisons * 12);
+        assert_eq!(row.corr_words, row.comparisons * 44);
     }
 }
 
