@@ -21,7 +21,7 @@ fn bench_fedch(c: &mut Criterion) {
             seed: 7,
         },
     );
-    let order = contraction_order(&city, 0);
+    let order = contraction_order(&city);
     let core = (order.len() / 10).max(1);
 
     let mut group = c.benchmark_group("fedch");

@@ -14,7 +14,10 @@
 //! schema tag and re-validated on save, like
 //! [`throughput`](crate::throughput).
 
-use crate::report::{heading, save_checked, table, RESULTS_DIR};
+use crate::report::{
+    expect_f64, expect_run_params, expect_schema, expect_u64, heading, save_checked, table,
+    RESULTS_DIR,
+};
 use crate::BENCH_SEED;
 use fedroad_core::jsonio::{JsonError, Value};
 use fedroad_mpc::compare::{less_than_zero_many, CompareScratch};
@@ -205,20 +208,6 @@ impl CompareReport {
     }
 }
 
-fn expect_u64(doc: &Value, key: &str) -> Result<u64, JsonError> {
-    doc.get(key)?.as_u64()
-}
-
-fn expect_f64(doc: &Value, key: &str) -> Result<f64, JsonError> {
-    match doc.get(key)? {
-        Value::Float(x) => Ok(*x),
-        Value::Int(i) => Ok(*i as f64),
-        other => Err(JsonError::Schema(format!(
-            "field `{key}` must be a number, found {other:?}"
-        ))),
-    }
-}
-
 /// The integer fields of a row: its shape and the protocol's deterministic
 /// cost counters.
 const COUNTER_FIELDS: [&str; 7] = [
@@ -251,21 +240,8 @@ fn validate_row(row: &Value) -> Result<(), JsonError> {
 /// schema: schema tag, run parameters, and a non-empty array of
 /// well-formed rows.
 pub fn validate(doc: &Value) -> Result<(), JsonError> {
-    let schema = doc.get("schema")?.as_str()?;
-    if schema != COMPARE_SCHEMA {
-        return Err(JsonError::Schema(format!(
-            "schema mismatch: expected {COMPARE_SCHEMA:?}, found {schema:?}"
-        )));
-    }
-    expect_u64(doc, "seed")?;
-    match doc.get("quick")? {
-        Value::Bool(_) => {}
-        other => {
-            return Err(JsonError::Schema(format!(
-                "field `quick` must be a bool, found {other:?}"
-            )))
-        }
-    }
+    expect_schema(doc, COMPARE_SCHEMA)?;
+    expect_run_params(doc)?;
     let parties = expect_u64(doc, "parties")?;
     if parties < 2 {
         return Err(JsonError::Schema(format!(

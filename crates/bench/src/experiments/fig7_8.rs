@@ -63,10 +63,10 @@ pub fn run_method(
     }
 }
 
-/// Builds the shortcut index `config` asks for (its order seed and core
-/// size) over the bench federation, to be shared by `Arc`.
+/// Builds the shortcut index `config` asks for (its core size) over the
+/// bench federation, to be shared by `Arc`.
 pub fn shared_index(bench: &mut crate::setup::Bench, config: &EngineConfig) -> Arc<FedChIndex> {
-    let order = contraction_order(bench.fed.graph(), config.order_seed);
+    let order = contraction_order(bench.fed.graph());
     let core = config.core_size(order.len());
     let (graph, silos, engine) = bench.fed.split_mut();
     let mut cmp = SacComparator::new(engine);

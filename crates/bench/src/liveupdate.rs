@@ -24,7 +24,9 @@
 //! with schema [`UPDATE_SCHEMA`], re-validated on save like the other
 //! artifacts.
 
-use crate::report::{save_checked, RESULTS_DIR};
+use crate::report::{
+    expect_non_negative, expect_run_params, expect_schema, expect_u64, save_checked, RESULTS_DIR,
+};
 use crate::setup::{self, DEFAULT_SILOS};
 use crate::workload::hop_bucketed_queries;
 use crate::BENCH_SEED;
@@ -124,7 +126,7 @@ pub fn run(quick: bool) -> UpdateReport {
     // One timed from-scratch build (same order and core the engine used),
     // the denominator-free baseline the customize times are judged against.
     let config = *engine.config();
-    let order = contraction_order(&bench.graph, config.order_seed);
+    let order = contraction_order(&bench.graph);
     let core = config.core_size(bench.graph.num_vertices());
     let build_s = {
         let (graph, silos, sac) = bench.fed.split_mut();
@@ -320,39 +322,12 @@ impl UpdateReport {
     }
 }
 
-fn expect_u64(doc: &Value, key: &str) -> Result<u64, JsonError> {
-    doc.get(key)?.as_u64()
-}
-
-fn expect_f64(doc: &Value, key: &str) -> Result<f64, JsonError> {
-    match doc.get(key)? {
-        Value::Float(x) => Ok(*x),
-        Value::Int(i) => Ok(*i as f64),
-        other => Err(JsonError::Schema(format!(
-            "field `{key}` must be a number, found {other:?}"
-        ))),
-    }
-}
-
 /// Validates a parsed document against the `fedroad.bench-update.v1`
 /// schema: tag, run parameters, deterministic counters, and finite
 /// non-negative rate/latency fields.
 pub fn validate(doc: &Value) -> Result<(), JsonError> {
-    let schema = doc.get("schema")?.as_str()?;
-    if schema != UPDATE_SCHEMA {
-        return Err(JsonError::Schema(format!(
-            "schema mismatch: expected {UPDATE_SCHEMA:?}, found {schema:?}"
-        )));
-    }
-    expect_u64(doc, "seed")?;
-    match doc.get("quick")? {
-        Value::Bool(_) => {}
-        other => {
-            return Err(JsonError::Schema(format!(
-                "field `quick` must be a bool, found {other:?}"
-            )))
-        }
-    }
+    expect_schema(doc, UPDATE_SCHEMA)?;
+    expect_run_params(doc)?;
     doc.get("preset")?.as_str()?;
     for key in [
         "ticks",
@@ -373,12 +348,7 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
         "live_p50_s",
         "degradation",
     ] {
-        let x = expect_f64(doc, key)?;
-        if !x.is_finite() || x < 0.0 {
-            return Err(JsonError::Schema(format!(
-                "field `{key}` must be finite and non-negative, found {x}"
-            )));
-        }
+        expect_non_negative(doc, key)?;
     }
     if expect_u64(doc, "epochs")? > expect_u64(doc, "ticks")? {
         return Err(JsonError::Schema(

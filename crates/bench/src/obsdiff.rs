@@ -28,6 +28,7 @@
 //! otherwise escape the gate for good) and warns when it is soft; one
 //! that is **new** in the current run always warns.
 
+use crate::report::{expect_f64, expect_schema};
 use fedroad_core::jsonio::{JsonError, Value};
 
 /// Schema tag of obs metrics snapshots (mirrors
@@ -205,26 +206,18 @@ fn diff_bench_run(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), 
 }
 
 fn row_metrics(row: &Value) -> Result<Vec<(&'static str, f64, Worse, bool)>, JsonError> {
-    let u = |key: &str| -> Result<f64, JsonError> { Ok(row.get(key)?.as_u64()? as f64) };
-    let f = |key: &str| -> Result<f64, JsonError> {
-        match row.get(key)? {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(JsonError::Schema(format!(
-                "field `{key}` must be a number, found {other:?}"
-            ))),
-        }
-    };
+    // `validate` has checked that the counters are integers.
+    let f = |key: &str| expect_f64(row, key);
     Ok(vec![
         // Deterministic protocol accounting: hard.
         (
             "sac_invocations",
-            u("sac_invocations")?,
+            f("sac_invocations")?,
             Worse::Higher,
             true,
         ),
-        ("net_rounds", u("net_rounds")?, Worse::Higher, true),
-        ("net_bytes", u("net_bytes")?, Worse::Higher, true),
+        ("net_rounds", f("net_rounds")?, Worse::Higher, true),
+        ("net_bytes", f("net_bytes")?, Worse::Higher, true),
         (
             "rounds_per_query",
             f("rounds_per_query")?,
@@ -232,7 +225,7 @@ fn row_metrics(row: &Value) -> Result<Vec<(&'static str, f64, Worse, bool)>, Jso
             true,
         ),
         // Scheduler rounds depend on thread interleaving: soft.
-        ("sched_rounds", u("sched_rounds")?, Worse::Higher, false),
+        ("sched_rounds", f("sched_rounds")?, Worse::Higher, false),
         // Wall-clock rates are host-dependent: soft. `modeled_qps` folds
         // wall time into the WAN model, so it inherits the host noise.
         ("wall_qps", f("wall_qps")?, Worse::Lower, false),
@@ -287,12 +280,7 @@ fn diff_throughput(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(),
 /// schema tag, `at_ns`, and the `counters`/`gauges`/`histograms` arrays
 /// (the latter with count/sum/quantile fields per entry).
 pub fn validate_metrics_snapshot(doc: &Value) -> Result<(), JsonError> {
-    let schema = doc.get("schema")?.as_str()?;
-    if schema != METRICS_SCHEMA {
-        return Err(JsonError::Schema(format!(
-            "schema mismatch: expected {METRICS_SCHEMA:?}, found {schema:?}"
-        )));
-    }
+    expect_schema(doc, METRICS_SCHEMA)?;
     doc.get("at_ns")?.as_u64()?;
     for key in ["counters", "gauges"] {
         for entry in doc.get(key)?.as_arr()? {
@@ -316,17 +304,6 @@ pub fn validate_metrics_snapshot(doc: &Value) -> Result<(), JsonError> {
 fn diff_update(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), JsonError> {
     crate::liveupdate::validate(base)?;
     crate::liveupdate::validate(cur)?;
-    let u =
-        |doc: &Value, key: &str| -> Result<f64, JsonError> { Ok(doc.get(key)?.as_u64()? as f64) };
-    let f = |doc: &Value, key: &str| -> Result<f64, JsonError> {
-        match doc.get(key)? {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(JsonError::Schema(format!(
-                "field `{key}` must be a number, found {other:?}"
-            ))),
-        }
-    };
     // The congestion wave and the customize cone are fully seeded: these
     // counters reproduce exactly, so any drift is a real behaviour change.
     for key in [
@@ -336,7 +313,13 @@ fn diff_update(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Jso
         "touched_shortcuts",
         "changed_shortcuts",
     ] {
-        cx.compare(key, u(base, key)?, u(cur, key)?, Worse::Higher, true);
+        cx.compare(
+            key,
+            expect_f64(base, key)?,
+            expect_f64(cur, key)?,
+            Worse::Higher,
+            true,
+        );
     }
     // Everything folding in wall time is host-dependent: advisory only.
     for (key, worse) in [
@@ -349,7 +332,13 @@ fn diff_update(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Jso
         ("live_p50_s", Worse::Higher),
         ("degradation", Worse::Higher),
     ] {
-        cx.compare(key, f(base, key)?, f(cur, key)?, worse, false);
+        cx.compare(
+            key,
+            expect_f64(base, key)?,
+            expect_f64(cur, key)?,
+            worse,
+            false,
+        );
     }
     Ok(())
 }
@@ -357,17 +346,6 @@ fn diff_update(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Jso
 fn diff_compare(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), JsonError> {
     crate::comparebench::validate(base)?;
     crate::comparebench::validate(cur)?;
-    let u =
-        |row: &Value, key: &str| -> Result<f64, JsonError> { Ok(row.get(key)?.as_u64()? as f64) };
-    let f = |row: &Value, key: &str| -> Result<f64, JsonError> {
-        match row.get(key)? {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(JsonError::Schema(format!(
-                "field `{key}` must be a number, found {other:?}"
-            ))),
-        }
-    };
     for b_row in base.get("rows")?.as_arr()? {
         let batch = b_row.get("batch")?.as_u64()?;
         let label = format!("batch-{batch}");
@@ -392,8 +370,8 @@ fn diff_compare(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Js
         ] {
             cx.compare(
                 &format!("{label}.{key}"),
-                u(b_row, key)?,
-                u(c_row, key)?,
+                expect_f64(b_row, key)?,
+                expect_f64(c_row, key)?,
                 Worse::Higher,
                 true,
             );
@@ -401,8 +379,8 @@ fn diff_compare(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Js
         // Throughput folds in host CPU/cores: advisory.
         cx.compare(
             &format!("{label}.cps"),
-            f(b_row, "cps")?,
-            f(c_row, "cps")?,
+            expect_f64(b_row, "cps")?,
+            expect_f64(c_row, "cps")?,
             Worse::Lower,
             false,
         );

@@ -27,6 +27,57 @@ pub fn save_checked(
     Ok(path)
 }
 
+/// Checks that `doc` carries the schema tag `schema`.
+pub fn expect_schema(doc: &Value, schema: &str) -> Result<(), JsonError> {
+    let found = doc.get("schema")?.as_str()?;
+    if found != schema {
+        return Err(JsonError::Schema(format!(
+            "schema mismatch: expected {schema:?}, found {found:?}"
+        )));
+    }
+    Ok(())
+}
+
+/// Checks the run parameters every bench report carries: an integer
+/// `seed` and a boolean `quick`.
+pub fn expect_run_params(doc: &Value) -> Result<(), JsonError> {
+    expect_u64(doc, "seed")?;
+    match doc.get("quick")? {
+        Value::Bool(_) => Ok(()),
+        other => Err(JsonError::Schema(format!(
+            "field `quick` must be a bool, found {other:?}"
+        ))),
+    }
+}
+
+/// Reads an unsigned integer field.
+pub fn expect_u64(doc: &Value, key: &str) -> Result<u64, JsonError> {
+    doc.get(key)?.as_u64()
+}
+
+/// Reads a number field; an integer reads as its float value.
+pub fn expect_f64(doc: &Value, key: &str) -> Result<f64, JsonError> {
+    match doc.get(key)? {
+        Value::Float(x) => Ok(*x),
+        Value::Int(i) => Ok(*i as f64),
+        other => Err(JsonError::Schema(format!(
+            "field `{key}` must be a number, found {other:?}"
+        ))),
+    }
+}
+
+/// Reads a number field that must be finite and non-negative (a rate, a
+/// latency or a ratio).
+pub fn expect_non_negative(doc: &Value, key: &str) -> Result<f64, JsonError> {
+    let x = expect_f64(doc, key)?;
+    if !x.is_finite() || x < 0.0 {
+        return Err(JsonError::Schema(format!(
+            "field `{key}` must be finite and non-negative, found {x}"
+        )));
+    }
+    Ok(x)
+}
+
 /// A generic experiment record: one measured point of a figure or table.
 #[derive(Clone, Debug)]
 pub struct Record {

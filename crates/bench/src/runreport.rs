@@ -6,7 +6,7 @@
 //! tag and is re-validated on save, so downstream tooling can fail fast
 //! on drift instead of silently misreading fields.
 
-use crate::report::{save_checked, RESULTS_DIR};
+use crate::report::{expect_run_params, expect_schema, expect_u64, save_checked, RESULTS_DIR};
 use fedroad_core::jsonio::{JsonError, Value};
 use fedroad_obs::{QueryTrace, Snapshot};
 use std::path::{Path, PathBuf};
@@ -198,29 +198,12 @@ impl RunReport {
     }
 }
 
-fn expect_u64(doc: &Value, key: &str) -> Result<u64, JsonError> {
-    doc.get(key)?.as_u64()
-}
-
 /// Validates a parsed document against the `fedroad.bench-run.v1` schema:
 /// schema tag, required top-level fields, and the per-entry shapes of
 /// `experiments`, `counters`, `histograms`, and `query`.
 pub fn validate(doc: &Value) -> Result<(), JsonError> {
-    let schema = doc.get("schema")?.as_str()?;
-    if schema != RUN_SCHEMA {
-        return Err(JsonError::Schema(format!(
-            "schema mismatch: expected {RUN_SCHEMA:?}, found {schema:?}"
-        )));
-    }
-    expect_u64(doc, "seed")?;
-    match doc.get("quick")? {
-        Value::Bool(_) => {}
-        other => {
-            return Err(JsonError::Schema(format!(
-                "field `quick` must be a bool, found {other:?}"
-            )))
-        }
-    }
+    expect_schema(doc, RUN_SCHEMA)?;
+    expect_run_params(doc)?;
     for entry in doc.get("experiments")?.as_arr()? {
         entry.get("name")?.as_str()?;
         expect_u64(entry, "records")?;

@@ -18,7 +18,10 @@
 //! explicit schema tag and re-validated on save, like
 //! [`runreport`](crate::runreport).
 
-use crate::report::{heading, save_checked, table, RESULTS_DIR};
+use crate::report::{
+    expect_non_negative, expect_run_params, expect_schema, expect_u64, heading, save_checked,
+    table, RESULTS_DIR,
+};
 use crate::setup::{self, DEFAULT_SILOS};
 use crate::workload::hop_bucketed_queries;
 use crate::BENCH_SEED;
@@ -280,20 +283,6 @@ impl ThroughputReport {
     }
 }
 
-fn expect_u64(doc: &Value, key: &str) -> Result<u64, JsonError> {
-    doc.get(key)?.as_u64()
-}
-
-fn expect_f64(doc: &Value, key: &str) -> Result<f64, JsonError> {
-    match doc.get(key)? {
-        Value::Float(x) => Ok(*x),
-        Value::Int(i) => Ok(*i as f64),
-        other => Err(JsonError::Schema(format!(
-            "field `{key}` must be a number, found {other:?}"
-        ))),
-    }
-}
-
 fn validate_row(row: &Value) -> Result<(), JsonError> {
     row.get("label")?.as_str()?;
     for key in [
@@ -313,12 +302,7 @@ fn validate_row(row: &Value) -> Result<(), JsonError> {
         "modeled_qps",
         "rounds_per_query",
     ] {
-        let x = expect_f64(row, key)?;
-        if !x.is_finite() || x < 0.0 {
-            return Err(JsonError::Schema(format!(
-                "field `{key}` must be finite and non-negative, found {x}"
-            )));
-        }
+        expect_non_negative(row, key)?;
     }
     Ok(())
 }
@@ -327,21 +311,8 @@ fn validate_row(row: &Value) -> Result<(), JsonError> {
 /// schema: schema tag, run parameters, a well-formed sequential row, and
 /// a non-empty batch array of well-formed rows.
 pub fn validate(doc: &Value) -> Result<(), JsonError> {
-    let schema = doc.get("schema")?.as_str()?;
-    if schema != THROUGHPUT_SCHEMA {
-        return Err(JsonError::Schema(format!(
-            "schema mismatch: expected {THROUGHPUT_SCHEMA:?}, found {schema:?}"
-        )));
-    }
-    expect_u64(doc, "seed")?;
-    match doc.get("quick")? {
-        Value::Bool(_) => {}
-        other => {
-            return Err(JsonError::Schema(format!(
-                "field `quick` must be a bool, found {other:?}"
-            )))
-        }
-    }
+    expect_schema(doc, THROUGHPUT_SCHEMA)?;
+    expect_run_params(doc)?;
     doc.get("preset")?.as_str()?;
     expect_u64(doc, "num_queries")?;
     validate_row(doc.get("sequential")?)?;

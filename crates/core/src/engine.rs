@@ -38,8 +38,6 @@ pub struct EngineConfig {
     pub lower_bound: LowerBoundKind,
     /// Priority-queue structure (§VI).
     pub queue: QueueKind,
-    /// Seed for the (weight-independent) contraction order.
-    pub order_seed: u64,
     /// Fraction of vertices kept as the uncontracted core of the shortcut
     /// index (the paper contracts the "unimportant" set `V_c`; queries
     /// climb the hierarchy into the core and cross it with A* pruning).
@@ -150,7 +148,6 @@ impl Method {
             use_shortcuts,
             lower_bound,
             queue,
-            order_seed: 0,
             core_fraction,
             batch_rounds: false,
         }
@@ -270,7 +267,7 @@ impl QueryEngine {
                 Arc::clone(index)
             }
             None => {
-                let order = contraction_order(fed.graph(), config.order_seed);
+                let order = contraction_order(fed.graph());
                 let (graph, silos, engine) = fed.split_mut();
                 let mut cmp = SacComparator::new(engine);
                 Arc::new(FedChIndex::build(graph, silos, &order, core_size, &mut cmp))

@@ -385,34 +385,38 @@ impl LiveExecutor {
         fedroad_obs::gauge_set("executor.queue_depth", queries.len() as u64);
         let next = AtomicUsize::new(0);
         let slots: Mutex<Vec<Option<LiveQueryResult>>> = Mutex::new(vec![None; queries.len()]);
+        // The calling thread is the first worker: a one-worker pool (or a
+        // one-query batch) spawns no thread at all.
+        let worker = || loop {
+            // lint: lock-ok(the cursor only hands out indices; results are published through the slots mutex and the scope join)
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&(s, t)) = queries.get(i) else {
+                break;
+            };
+            // Worker-utilization gauges: claimed-but-unfinished queries
+            // count as busy; queue depth is what nobody has claimed yet.
+            // Pure shapes, never values.
+            fedroad_obs::gauge_sub("executor.queue_depth", 1);
+            fedroad_obs::gauge_add("executor.busy_workers", 1);
+            // The load-then-run order is the whole protocol: the epoch
+            // recorded here is the snapshot the query runs on, however
+            // many publishes happen meanwhile.
+            let snapshot = self.cell.load();
+            let tagged = LiveQueryResult {
+                result: run_one_on(&snapshot, &self.scheduler, s, t),
+                epoch: snapshot.epoch(),
+            };
+            fedroad_obs::gauge_sub("executor.busy_workers", 1);
+            let mut guard = slots
+                .lock()
+                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            guard[i] = Some(tagged);
+        };
         std::thread::scope(|scope| {
-            for _ in 0..self.workers {
-                scope.spawn(|| loop {
-                    // lint: lock-ok(the cursor only hands out indices; results are published through the slots mutex and the scope join)
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(s, t)) = queries.get(i) else {
-                        break;
-                    };
-                    // Worker-utilization gauges: claimed-but-unfinished
-                    // queries count as busy; queue depth is what nobody has
-                    // claimed yet. Pure shapes, never values.
-                    fedroad_obs::gauge_sub("executor.queue_depth", 1);
-                    fedroad_obs::gauge_add("executor.busy_workers", 1);
-                    // The load-then-run order is the whole protocol: the
-                    // epoch recorded here is the snapshot the query runs
-                    // on, however many publishes happen meanwhile.
-                    let snapshot = self.cell.load();
-                    let tagged = LiveQueryResult {
-                        result: run_one_on(&snapshot, &self.scheduler, s, t),
-                        epoch: snapshot.epoch(),
-                    };
-                    fedroad_obs::gauge_sub("executor.busy_workers", 1);
-                    let mut guard = slots
-                        .lock()
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    guard[i] = Some(tagged);
-                });
+            for _ in 1..self.workers.min(queries.len()) {
+                scope.spawn(worker);
             }
+            worker();
         });
         slots
             .into_inner()

@@ -404,9 +404,8 @@ pub struct FedChIndex {
     topo: Arc<FedChTopology>,
     /// Silo columns per weight row (1 in a [`Self::silo_view`]).
     width: usize,
-    /// Per-arena-arc base weights, one `width` row per arc (rows of pure
-    /// shortcuts are unused): the inputs customization folds triangles
-    /// against.
+    /// Base weights, one `width` row per base-graph arc: the inputs
+    /// customization folds triangles against.
     base: Vec<Weight>,
     /// Customized per-silo weights, one `width` row per arena arc.
     weights: Vec<Weight>,
@@ -446,14 +445,9 @@ impl FedChIndex {
     ) -> Self {
         let m = topo.arcs.len();
         let width = silos.len();
-        let mut base = vec![0; m * width];
-        for (row, arc) in base.chunks_exact_mut(width).zip(&topo.arcs) {
-            if let Some(a) = arc.orig {
-                for (slot, s) in row.iter_mut().zip(silos) {
-                    *slot = s.weight(a);
-                }
-            }
-        }
+        let base = (0..topo.num_base_arcs as u32)
+            .flat_map(|a| silos.iter().map(move |s| s.weight(ArcId(a))))
+            .collect();
         let stats = FedChStats {
             overlay_arcs: m as u64,
             shortcuts: topo.num_shortcuts() as u64,
@@ -524,7 +518,7 @@ impl FedChIndex {
                 continue; // self-loops never enter the overlay
             };
             let width = self.width;
-            let Some(slot) = self.base[id as usize * width..][..width].get_mut(ch.silo) else {
+            let Some(slot) = self.base[ch.arc.index() * width..][..width].get_mut(ch.silo) else {
                 continue; // no such silo column
             };
             if *slot == ch.weight {
@@ -610,7 +604,7 @@ impl FedChIndex {
     fn base_of(&self, id: u32) -> Option<&[Weight]> {
         self.topo.arcs[id as usize]
             .orig
-            .map(|_| &self.base[id as usize * self.width..][..self.width])
+            .map(|a| &self.base[a.index() * self.width..][..self.width])
     }
 
     /// Recomputes arena arc `id`'s customized weight: the base weight
@@ -708,11 +702,13 @@ impl FedChIndex {
 
     /// Serializes the index to JSON (persistence between sessions).
     pub fn to_json(&self) -> Result<String, JsonError> {
-        let ids = 0..self.topo.arcs.len() as u32;
-        let base_rows = ids
-            .clone()
-            .map(|id| weights_to_value(self.base_of(id).unwrap_or_default()));
-        let weight_rows = ids.map(|id| weights_to_value(self.weights_of(id)));
+        let rows = |slab: &[Weight]| -> Value {
+            Value::Arr(
+                slab.chunks_exact(self.width.max(1))
+                    .map(weights_to_value)
+                    .collect(),
+            )
+        };
         let doc = Value::Obj(vec![
             (
                 "order".into(),
@@ -741,8 +737,8 @@ impl FedChIndex {
                         .collect(),
                 ),
             ),
-            ("base".into(), Value::Arr(base_rows.collect())),
-            ("weights".into(), Value::Arr(weight_rows.collect())),
+            ("base".into(), rows(&self.base)),
+            ("weights".into(), rows(&self.weights)),
             (
                 "middle".into(),
                 Value::Arr(
@@ -830,32 +826,30 @@ impl FedChIndex {
                 v => v.as_u32().map(|x| Some(VertexId(x))),
             })
             .collect::<Result<_, _>>()?;
-        if base_rows.len() != arcs.len()
-            || weight_rows.len() != arcs.len()
-            || middle.len() != arcs.len()
-        {
+        if base_rows.len() != num_base_arcs {
+            return Err(JsonError::Schema(
+                "base rows must match the base graph".into(),
+            ));
+        }
+        if weight_rows.len() != arcs.len() || middle.len() != arcs.len() {
             return Err(JsonError::Schema(
                 "weight/middle rows must match the arena".into(),
             ));
         }
-        // Every weight row has one column per silo; base rows too, except
-        // that pure shortcuts have none.
-        let width = weight_rows.first().map_or(0, Vec::len);
-        let mut base = vec![0; arcs.len() * width];
-        for ((row, arc), slots) in base_rows
+        // Every row, base or customized, has one column per silo.
+        let width = base_rows
             .iter()
-            .zip(&arcs)
-            .zip(base.chunks_exact_mut(width.max(1)))
+            .chain(&weight_rows)
+            .next()
+            .map_or(0, Vec::len);
+        if base_rows
+            .iter()
+            .chain(&weight_rows)
+            .any(|row| row.len() != width)
         {
-            match (arc.orig, row.len()) {
-                (Some(_), len) if len == width => slots.copy_from_slice(row),
-                (None, 0) => {}
-                _ => return Err(JsonError::Schema("base row does not fit its arc".into())),
-            }
-        }
-        if weight_rows.iter().any(|row| row.len() != width) {
             return Err(JsonError::Schema("weight rows differ in width".into()));
         }
+        let base = base_rows.concat();
         let weights = weight_rows.concat();
         let topo = FedChTopology::finish(
             order,
@@ -1083,7 +1077,7 @@ mod tests {
     }
 
     fn build_index(fed: &mut Federation) -> FedChIndex {
-        let order = contraction_order(fed.graph(), 0);
+        let order = contraction_order(fed.graph());
         let core = (order.len() / 10).max(1);
         let (graph, silos, engine) = fed.split_mut();
         let mut cmp = SacComparator::new(engine);
@@ -1156,7 +1150,7 @@ mod tests {
         // same arena — only the customized weights differ. This is the
         // invariant that makes weight refreshes pure re-customization.
         let g = grid_city(&GridCityParams::small(), 43);
-        let order = contraction_order(&g, 0);
+        let order = contraction_order(&g);
         let core = (order.len() / 10).max(1);
         let make = |level: CongestionLevel| -> FedChIndex {
             let w = gen_silo_weights(&g, level, 2, 43);
@@ -1336,7 +1330,7 @@ mod hierarchy_property_tests {
             },
         );
         let oracle = JointOracle::new(&fed);
-        let order = contraction_order(fed.graph(), 0);
+        let order = contraction_order(fed.graph());
         let index = {
             let core = (order.len() / 10).max(1);
             let (graph, silos, engine) = fed.split_mut();
@@ -1408,7 +1402,7 @@ mod persistence_tests {
                 seed: 61,
             },
         );
-        let order = contraction_order(fed.graph(), 0);
+        let order = contraction_order(fed.graph());
         let core = (order.len() / 10).max(1);
         let index = {
             let (graph, silos, engine) = fed.split_mut();

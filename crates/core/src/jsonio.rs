@@ -55,21 +55,10 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string.
+fn quote_into(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
+    out.push_str(&fedroad_obs::escape_json(s));
     out.push('"');
 }
 
@@ -92,7 +81,7 @@ impl Value {
                 // re-parses as a float.
                 out.push_str(&format!("{x:?}"));
             }
-            Value::Str(s) => escape_into(s, out),
+            Value::Str(s) => quote_into(s, out),
             Value::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -109,7 +98,7 @@ impl Value {
                     if i > 0 {
                         out.push(',');
                     }
-                    escape_into(k, out);
+                    quote_into(k, out);
                     out.push(':');
                     v.write(out);
                 }

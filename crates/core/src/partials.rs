@@ -7,8 +7,7 @@
 //! normally Fed-SAC, but in the §VII simulation test a bit-replay stub that
 //! proves control flow depends only on the revealed comparison results.
 
-use fedroad_mpc::{BitReplaySimulator, DuelBuf, DuelTicket, SacEngine, SacSession};
-use fedroad_queue::DuelBatch;
+use fedroad_mpc::{BitReplaySimulator, DuelBuf, SacEngine, SacSession};
 
 /// Per-silo signed key values. Signed because A* keys fold in landmark
 /// potential differences, which can be negative on individual silos even
@@ -36,26 +35,6 @@ pub trait JointComparator {
     fn less_batch(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> Vec<bool> {
         pairs.iter().map(|(a, b)| self.less(a, b)).collect()
     }
-
-    /// Issues a batch of independent comparisons as a request instead of a
-    /// blocking call (see [`fedroad_queue::Comparator::submit_batch`]).
-    /// Comparators wired to a cross-query round scheduler override this to
-    /// return [`DuelBatch::Deferred`]; the default decides immediately.
-    fn submit_batch(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> DuelBatch {
-        DuelBatch::Ready(self.less_batch(pairs))
-    }
-
-    /// Redeems a [`DuelBatch`] from [`Self::submit_batch`]. Comparators
-    /// that defer must override this; a deferred ticket reaching the
-    /// default is a caller bug (tickets are comparator-private).
-    fn resolve_batch(&mut self, batch: DuelBatch) -> Vec<bool> {
-        match batch {
-            DuelBatch::Ready(bits) => bits,
-            DuelBatch::Deferred(_) => {
-                unreachable!("deferred ticket redeemed on a comparator that never defers")
-            }
-        }
-    }
 }
 
 /// The production comparator: every request is one Fed-SAC execution.
@@ -64,18 +43,16 @@ pub trait JointComparator {
 /// ([`Self::new`]) executes each request on a [`SacEngine`] at once. A
 /// session target ([`Self::session`]) hands each request to a shared
 /// [`BatchScheduler`](fedroad_mpc::BatchScheduler), where ready duels from
-/// many in-flight queries coalesce into one protocol round, and lets
-/// [`JointComparator::submit_batch`] defer. Both targets receive the same
-/// requests in the same order from this one piece of code, which is what
-/// makes batch execution bit-identical to sequential.
+/// many in-flight queries coalesce into one protocol round, and blocks
+/// until that round has run. Both targets receive the same requests in the
+/// same order from this one piece of code, which is what makes batch
+/// execution bit-identical to sequential.
 pub struct SacComparator<'e> {
     target: Target<'e>,
     batched: bool,
     invocations: u64,
     /// Every request's duels, shifted into the ring; refilled per request.
     duels: DuelBuf,
-    /// Deferred batches' tickets; `DuelBatch::Deferred(i)` is slot `i`.
-    deferred: Vec<Option<DuelTicket>>,
 }
 
 /// Where a [`SacComparator`] sends its requests.
@@ -113,7 +90,6 @@ impl<'e> SacComparator<'e> {
             batched: false,
             invocations: 0,
             duels: DuelBuf::new(num_silos),
-            deferred: Vec::new(),
         }
     }
 
@@ -129,8 +105,8 @@ impl<'e> SacComparator<'e> {
         self.invocations
     }
 
-    /// Refills the duel buffer with `pairs` and counts them.
-    fn load(&mut self, pairs: &[(&PartialKey, &PartialKey)]) {
+    /// Executes `pairs` as one request and waits for the bits.
+    fn compare_now(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> Vec<bool> {
         self.invocations += pairs.len() as u64;
         self.duels.clear();
         for (a, b) in pairs {
@@ -138,11 +114,6 @@ impl<'e> SacComparator<'e> {
                 .push(ring_words(a), ring_words(b))
                 .expect("keys carry one partial cost per silo");
         }
-    }
-
-    /// Executes `pairs` as one request and waits for the bits.
-    fn compare_now(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> Vec<bool> {
-        self.load(pairs);
         match &mut self.target {
             Target::Engine(engine) => engine.less_than_many(&self.duels),
             Target::Session(session) => session.compare_many(&self.duels),
@@ -162,39 +133,6 @@ impl JointComparator for SacComparator<'_> {
             return pairs.iter().map(|(a, b)| self.less(a, b)).collect();
         }
         self.compare_now(pairs)
-    }
-
-    fn submit_batch(&mut self, pairs: &[(&PartialKey, &PartialKey)]) -> DuelBatch {
-        let session = match self.target {
-            Target::Session(session) if self.batched && pairs.len() > 1 => session,
-            _ => return DuelBatch::Ready(self.less_batch(pairs)),
-        };
-        self.load(pairs);
-        self.deferred.push(Some(session.submit(&self.duels)));
-        DuelBatch::Deferred((self.deferred.len() - 1) as u64)
-    }
-
-    fn resolve_batch(&mut self, batch: DuelBatch) -> Vec<bool> {
-        match (batch, &self.target) {
-            (DuelBatch::Ready(bits), _) => bits,
-            (DuelBatch::Deferred(slot), Target::Session(session)) => {
-                let ticket = self
-                    .deferred
-                    .get_mut(slot as usize)
-                    .and_then(Option::take)
-                    .expect("deferred ticket issued by this comparator");
-                // Trim redeemed slots off the end so slot numbers restart.
-                while let Some(None) = self.deferred.last() {
-                    self.deferred.pop();
-                }
-                session
-                    .wait(ticket)
-                    .expect("Fed-SAC cannot fail on range-checked keys")
-            }
-            (DuelBatch::Deferred(_), Target::Engine(_)) => {
-                unreachable!("an engine-backed comparator never defers")
-            }
-        }
     }
 }
 
@@ -267,16 +205,6 @@ impl<T: KeyedEntry> fedroad_queue::Comparator<T> for EntryComparator<'_, '_> {
         let key_pairs: Vec<(&PartialKey, &PartialKey)> =
             pairs.iter().map(|(a, b)| (a.key(), b.key())).collect();
         self.cmp.less_batch(&key_pairs)
-    }
-
-    fn submit_batch(&mut self, pairs: &[(&T, &T)]) -> DuelBatch {
-        let key_pairs: Vec<(&PartialKey, &PartialKey)> =
-            pairs.iter().map(|(a, b)| (a.key(), b.key())).collect();
-        self.cmp.submit_batch(&key_pairs)
-    }
-
-    fn resolve_batch(&mut self, batch: DuelBatch) -> Vec<bool> {
-        self.cmp.resolve_batch(batch)
     }
 }
 

@@ -16,11 +16,11 @@ use std::collections::BinaryHeap;
 /// Computes a weight-independent contraction order from the public topology.
 ///
 /// Simulated minimum-degree elimination: repeatedly contract the vertex with
-/// the smallest current degree (ties broken by a deterministic mix of the
-/// vertex id and `seed`), inserting topological fill-in edges between its
-/// neighbours. Returns the vertices in contraction order (index = rank).
-/// Every silo calling this with the same graph and seed gets the same order.
-pub fn contraction_order(g: &Graph, seed: u64) -> Vec<VertexId> {
+/// the smallest current degree (ties broken by a deterministic hash of the
+/// vertex id), inserting topological fill-in edges between its neighbours.
+/// Returns the vertices in contraction order (index = rank). Every silo
+/// calling this with the same graph gets the same order.
+pub fn contraction_order(g: &Graph) -> Vec<VertexId> {
     let n = g.num_vertices();
     // Undirected neighbour sets (ignoring weights and direction).
     let mut adj: Vec<std::collections::BTreeSet<u32>> = vec![Default::default(); n];
@@ -33,8 +33,7 @@ pub fn contraction_order(g: &Graph, seed: u64) -> Vec<VertexId> {
         }
     }
 
-    let tie =
-        |v: u32| -> u64 { (v as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (v as u64) };
+    let tie = |v: u32| -> u64 { (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (v as u64) };
 
     let mut heap: BinaryHeap<Reverse<(usize, u64, u32)>> = (0..n as u32)
         .map(|v| Reverse((adj[v as usize].len(), tie(v), v)))
@@ -88,8 +87,8 @@ mod tests {
     #[test]
     fn order_is_deterministic_and_complete() {
         let g = grid_city(&GridCityParams::small(), 4);
-        let a = contraction_order(&g, 9);
-        let b = contraction_order(&g, 9);
+        let a = contraction_order(&g);
+        let b = contraction_order(&g);
         assert_eq!(a, b);
         let mut sorted = a.clone();
         sorted.sort();

@@ -8,8 +8,11 @@
 use crate::recorder::{EventKind, ObsValue, TraceEvent};
 use std::fmt::Write as _;
 
-/// Escapes a string for inclusion inside JSON quotes.
-fn escape(s: &str) -> String {
+/// Escapes a string for inclusion inside JSON quotes: quotes and
+/// backslashes get a backslash, newline, carriage return and tab their
+/// short escapes, and every other control character a `\u00XX` escape.
+/// Every JSON writer in the workspace escapes through this function.
+pub fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -35,10 +38,10 @@ fn args_json(args: &[(&'static str, ObsValue)]) -> String {
         }
         match v {
             ObsValue::Flag(b) => {
-                let _ = write!(out, "\"{}\":{}", escape(k), b);
+                let _ = write!(out, "\"{}\":{}", escape_json(k), b);
             }
             other => {
-                let _ = write!(out, "\"{}\":{}", escape(k), other.as_u64());
+                let _ = write!(out, "\"{}\":{}", escape_json(k), other.as_u64());
             }
         }
     }
@@ -65,7 +68,7 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
             e.ts_ns,
             e.tid,
             phase_letter(e.kind),
-            escape(e.name),
+            escape_json(e.name),
             args_json(&e.args),
         );
     }
@@ -89,7 +92,7 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
             out,
             "{{\"name\":\"{}\",\"cat\":\"fedroad\",\"ph\":\"{}\",\"ts\":{}.{:03},\
              \"pid\":0,\"tid\":{}{},\"args\":{}}}",
-            escape(e.name),
+            escape_json(e.name),
             phase_letter(e.kind),
             e.ts_ns / 1_000,
             e.ts_ns % 1_000,
@@ -214,6 +217,6 @@ mod tests {
 
     #[test]
     fn escaping_is_defensive() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     }
 }

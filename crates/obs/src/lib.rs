@@ -48,7 +48,7 @@ pub mod prometheus;
 pub mod recorder;
 pub mod trace;
 
-pub use export::{to_chrome_json, to_jsonl, validate_nesting};
+pub use export::{escape_json, to_chrome_json, to_jsonl, validate_nesting};
 pub use metrics::{
     quantile, HistogramView, MetricsExporter, MetricsRegistry, MetricsSnapshot, QuantileView,
     METRICS_SCHEMA, QUANTILE_MAX_RELATIVE_ERROR,

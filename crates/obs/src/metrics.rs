@@ -19,6 +19,7 @@
 //! every quantile, paid for with two-per-decade resolution. A unit test
 //! pins the bound empirically for p99 over adversarial inputs.
 
+use crate::export::escape_json;
 use crate::recorder::{self, HistBucket, Snapshot};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -165,22 +166,6 @@ pub fn from_recorder_snapshot(snap: &Snapshot) -> MetricsSnapshot {
         gauges: snap.gauges.clone(),
         histograms: histogram_views(snap),
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl MetricsSnapshot {

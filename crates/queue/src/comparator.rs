@@ -9,18 +9,6 @@
 //! closure. Every call is tallied by [`CompareCounts`] under the phase that
 //! issued it, which is exactly the split reported in the paper's Figure 12.
 
-/// Outcome of [`Comparator::submit_batch`]: either the duels were decided
-/// on the spot, or they were deferred into a shared protocol round and the
-/// caller holds a ticket to redeem via [`Comparator::resolve_batch`].
-#[derive(Debug)]
-pub enum DuelBatch {
-    /// The comparator decided the batch immediately.
-    Ready(Vec<bool>),
-    /// The batch joined a pending protocol round; the opaque ticket is
-    /// meaningful only to the comparator that issued it.
-    Deferred(u64),
-}
-
 /// Decides whether `a` has strictly higher priority (smaller cost) than `b`.
 pub trait Comparator<T> {
     /// Returns `true` iff `a` must be popped before `b`.
@@ -35,38 +23,6 @@ pub trait Comparator<T> {
     /// tournament duels) route through it.
     fn less_batch(&mut self, pairs: &[(&T, &T)]) -> Vec<bool> {
         pairs.iter().map(|(a, b)| self.less(a, b)).collect()
-    }
-
-    /// Issues a batch of independent duels as a *request* instead of a
-    /// blocking call, so a cross-query round scheduler can coalesce duels
-    /// from many in-flight queries into one protocol execution.
-    ///
-    /// The default decides the batch immediately (equivalent to
-    /// [`Self::less_batch`]); scheduler-backed comparators override this
-    /// to return [`DuelBatch::Deferred`]. Queues call `submit_batch` while
-    /// entry borrows are live, then redeem the outcome with
-    /// [`Self::resolve_batch`] once the borrows end — the request/response
-    /// split that lets the comparator block (or lead a merged round)
-    /// without holding references into the queue.
-    fn submit_batch(&mut self, pairs: &[(&T, &T)]) -> DuelBatch {
-        DuelBatch::Ready(self.less_batch(pairs))
-    }
-
-    /// Redeems a [`DuelBatch`] from [`Self::submit_batch`], blocking until
-    /// the deferred round (if any) has executed.
-    ///
-    /// Contract: a comparator that never returns [`DuelBatch::Deferred`]
-    /// can rely on the default, which only unwraps the ready case. A
-    /// comparator that defers **must** override `resolve_batch` to redeem
-    /// its own tickets; handing a deferred ticket to the default is a
-    /// caller bug (tickets are comparator-private) and panics.
-    fn resolve_batch(&mut self, batch: DuelBatch) -> Vec<bool> {
-        match batch {
-            DuelBatch::Ready(bits) => bits,
-            DuelBatch::Deferred(_) => {
-                unreachable!("deferred ticket redeemed on a comparator that never defers")
-            }
-        }
     }
 }
 

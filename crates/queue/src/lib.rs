@@ -24,7 +24,7 @@ mod heap;
 mod leftist;
 mod tmtree;
 
-pub use comparator::{Comparator, CompareCounts, DuelBatch, Phase};
+pub use comparator::{Comparator, CompareCounts, Phase};
 pub use heap::BinaryHeap;
 pub use leftist::LeftistHeap;
 pub use tmtree::{TmTree, DEFAULT_ALPHA};

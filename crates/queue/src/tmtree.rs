@@ -165,10 +165,10 @@ impl<T> TmTree<T> {
     /// Builds a sub-T-tree over `items` with `n − 1` `Build` comparisons.
     ///
     /// The duels of each tournament level are mutually independent, so
-    /// they are issued through [`Comparator::less_batch`] — a
+    /// each level is one [`Comparator::less_batch`] call — a
     /// protocol-backed comparator can then share communication rounds
-    /// across the level (`⌈log₂ n⌉` batched rounds instead of `n − 1`
-    /// sequential protocol runs). The comparison *count* is unchanged.
+    /// across the level (`⌈log₂ n⌉` batched executions instead of `n − 1`
+    /// sequential ones). The comparison *count* is unchanged.
     fn build_subtree(&mut self, items: Vec<T>, cmp: &mut dyn Comparator<T>) -> Sub {
         let size = items.len();
         debug_assert!(size > 0);
@@ -199,18 +199,17 @@ impl<T> TmTree<T> {
                     ("width", fedroad_obs::ObsValue::Count(level.len() as u64)),
                 ],
             );
-            // Request/response split: the duels are *submitted* while the
-            // entry borrows are live, and *resolved* after they end — a
-            // deferring comparator may block here (or lead a merged
-            // cross-query round) without holding references into the tree.
-            let batch = {
+            // One blocking call per level. A scheduler-backed comparator
+            // may wait here for a round shared with other queries; the
+            // outcomes are owned, so the entry borrows end before the level
+            // is rebuilt below.
+            let outcomes = {
                 let refs: Vec<(&T, &T)> = duels
                     .iter()
                     .map(|&(wa, wb)| (self.item(wa), self.item(wb)))
                     .collect();
-                cmp.submit_batch(&refs)
+                cmp.less_batch(&refs)
             };
-            let outcomes = cmp.resolve_batch(batch);
 
             let mut next = Vec::with_capacity(level.len().div_ceil(2));
             let mut duel_idx = 0;
@@ -502,6 +501,36 @@ mod tests {
         let mut cmp = plain();
         q.push_batch((0..17u64).collect(), &mut cmp);
         assert_eq!(q.counts().build, 16);
+    }
+
+    /// Records the width of every batch and counts per-duel calls.
+    #[derive(Default)]
+    struct BatchRecorder {
+        widths: Vec<usize>,
+        singles: usize,
+    }
+
+    impl Comparator<u64> for BatchRecorder {
+        fn less(&mut self, a: &u64, b: &u64) -> bool {
+            self.singles += 1;
+            a < b
+        }
+
+        fn less_batch(&mut self, pairs: &[(&u64, &u64)]) -> Vec<bool> {
+            self.widths.push(pairs.len());
+            pairs.iter().map(|(a, b)| a < b).collect()
+        }
+    }
+
+    #[test]
+    fn batch_build_issues_one_call_per_tournament_level() {
+        let mut q = TmTree::new(4);
+        let mut cmp = BatchRecorder::default();
+        q.push_batch((0..17u64).collect(), &mut cmp);
+        assert_eq!(cmp.widths, vec![8, 4, 2, 1, 1]);
+        assert_eq!(cmp.widths.iter().sum::<usize>(), 16);
+        assert_eq!(cmp.singles, 0, "no per-duel calls while building");
+        assert_eq!(q.counts().total(), 16);
     }
 
     #[test]

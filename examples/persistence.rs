@@ -46,7 +46,7 @@ fn main() {
     );
 
     // Collaborative index construction (the expensive part).
-    let order = contraction_order(fed.graph(), 0);
+    let order = contraction_order(fed.graph());
     let core = (order.len() / 10).max(1);
     let index = {
         let (g, s, e) = fed.split_mut();

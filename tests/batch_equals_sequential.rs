@@ -175,8 +175,8 @@ fn fedroad_batch_equals_sequential() {
 #[test]
 fn round_batched_tm_tree_configs_equal_sequential() {
     // The TM-tree methods with the round-batching extension on: per-level
-    // tournament duels are *submitted* as deferred requests and may merge
-    // with other queries' rounds — results must still be untouched.
+    // tournament duels go out as one batch per level and may merge with
+    // other queries' rounds — results must still be untouched.
     for method in [Method::NaiveDijkTm, Method::FedRoad] {
         let config = EngineConfig {
             batch_rounds: true,

@@ -96,7 +96,7 @@ fn assert_queries_identical(
 /// through the live path) against one long-lived customized index,
 /// cross-checking structure + queries against a rebuild every round.
 fn run_rounds(g: &Graph, level: CongestionLevel, silos: usize, seed: u64, rounds: u64) {
-    let order = contraction_order(g, 0);
+    let order = contraction_order(g);
     let core = (g.num_vertices() / 10).max(1);
     let mut fed = make_fed(g, level, silos, seed);
     let mut index = build_index(&mut fed, &order, core);
@@ -161,7 +161,7 @@ fn congestion_wave_stream_stays_bit_identical() {
     // The exact update stream the live-traffic driver feeds the index.
     use fedroad::CongestionWave;
     let g = grid_city(&GridCityParams::small(), 79);
-    let order = contraction_order(&g, 0);
+    let order = contraction_order(&g);
     let core = (g.num_vertices() / 10).max(1);
     let mut fed = make_fed(&g, CongestionLevel::Moderate, 3, 79);
     let mut index = build_index(&mut fed, &order, core);
