@@ -1,9 +1,10 @@
 //! Federated shortcut-index construction and partial update on a small
-//! city — the micro view of Table II.
+//! city — the micro view of Table II. Both run at FedRoad's own core, and
+//! construction covers everything set-up pays for the index: the
+//! contraction order, the topology and the first customization.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use fedroad_core::{FedChIndex, Federation, FederationConfig, SacComparator};
-use fedroad_graph::ch::contraction_order;
+use fedroad_core::{FedChIndex, Federation, FederationConfig, Method, SacComparator};
 use fedroad_graph::gen::{grid_city, GridCityParams};
 use fedroad_graph::traffic::{gen_silo_weights, CongestionLevel};
 use fedroad_graph::ArcId;
@@ -21,8 +22,7 @@ fn bench_fedch(c: &mut Criterion) {
             seed: 7,
         },
     );
-    let order = contraction_order(&city);
-    let core = (order.len() / 10).max(1);
+    let core = Method::FedRoad.config().core_size(city.num_vertices());
 
     let mut group = c.benchmark_group("fedch");
     group.sample_size(10);
@@ -31,14 +31,14 @@ fn bench_fedch(c: &mut Criterion) {
         b.iter(|| {
             let (g, s, e) = fed.split_mut();
             let mut cmp = SacComparator::new(e);
-            black_box(FedChIndex::build(g, s, &order, core, &mut cmp))
+            black_box(FedChIndex::build(g, s, core, &mut cmp))
         })
     });
 
     let index = {
         let (g, s, e) = fed.split_mut();
         let mut cmp = SacComparator::new(e);
-        FedChIndex::build(g, s, &order, core, &mut cmp)
+        FedChIndex::build(g, s, core, &mut cmp)
     };
     let m = city.num_arcs();
     let changed: Vec<ArcId> = (0..m).step_by(509).map(|i| ArcId(i as u32)).collect();

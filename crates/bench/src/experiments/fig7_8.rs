@@ -8,7 +8,6 @@ use crate::workload::hop_bucketed_queries;
 use crate::BENCH_SEED;
 use fedroad_core::{EngineConfig, Method, QueryEngine, QueryStats};
 use fedroad_core::{FedChIndex, SacComparator};
-use fedroad_graph::ch::contraction_order;
 use fedroad_graph::traffic::CongestionLevel;
 use fedroad_mpc::NetworkModel;
 use std::sync::Arc;
@@ -66,11 +65,10 @@ pub fn run_method(
 /// Builds the shortcut index `config` asks for (its core size) over the
 /// bench federation, to be shared by `Arc`.
 pub fn shared_index(bench: &mut crate::setup::Bench, config: &EngineConfig) -> Arc<FedChIndex> {
-    let order = contraction_order(bench.fed.graph());
-    let core = config.core_size(order.len());
+    let core = config.core_size(bench.fed.graph().num_vertices());
     let (graph, silos, engine) = bench.fed.split_mut();
     let mut cmp = SacComparator::new(engine);
-    Arc::new(FedChIndex::build(graph, silos, &order, core, &mut cmp))
+    Arc::new(FedChIndex::build(graph, silos, core, &mut cmp))
 }
 
 /// The shortcut indexes of one sweep, one per distinct core size: the

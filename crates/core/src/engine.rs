@@ -21,7 +21,6 @@ use crate::lb::{LandmarkPartials, LowerBoundKind};
 use crate::partials::SacComparator;
 use crate::sssp::{fed_sssp, FedSsspResult};
 use crate::view::BaseView;
-use fedroad_graph::ch::contraction_order;
 use fedroad_graph::landmarks::{select_landmarks, LandmarkTable};
 use fedroad_graph::{ArcId, Direction, Path, VertexId};
 use fedroad_mpc::{NetworkModel, SacStats};
@@ -235,9 +234,9 @@ impl QueryEngine {
 
     /// Like [`Self::build`], but reuses a previously built shortcut index
     /// when the configuration wants one — the index depends only on the
-    /// federation and the order/core parameters, not on the lower bound or
-    /// queue choice, so experiment sweeps share one construction per core
-    /// (by `Arc`, without copying it).
+    /// federation and the core size, not on the lower bound or queue
+    /// choice, so experiment sweeps share one construction per core (by
+    /// `Arc`, without copying it).
     ///
     /// # Panics
     ///
@@ -267,10 +266,9 @@ impl QueryEngine {
                 Arc::clone(index)
             }
             None => {
-                let order = contraction_order(fed.graph());
                 let (graph, silos, engine) = fed.split_mut();
                 let mut cmp = SacComparator::new(engine);
-                Arc::new(FedChIndex::build(graph, silos, &order, core_size, &mut cmp))
+                Arc::new(FedChIndex::build(graph, silos, core_size, &mut cmp))
             }
         });
 

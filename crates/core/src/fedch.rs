@@ -47,6 +47,7 @@ use crate::federation::SiloWeights;
 use crate::jsonio::{JsonError, Value};
 use crate::partials::{JointComparator, PartialKey};
 use crate::view::{ArcVisitor, SearchView};
+use fedroad_graph::ch::contraction_order;
 use fedroad_graph::{ArcId, Direction, Graph, VertexId, Weight};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -203,13 +204,21 @@ pub struct FedChTopology {
 }
 
 impl FedChTopology {
-    /// Builds the shortcut topology by simulated contraction: the first
-    /// `n − core_size` vertices of `order` are contracted in sequence, and
-    /// contracting `v` connects every ordered pair `(u, w)` of its
-    /// uncontracted in/out-neighbours — unconditionally, because without
-    /// weights there is no witness to consult. Conservative (a witness-
-    /// pruned hierarchy is a subgraph of this one) and therefore exact.
-    pub fn build(graph: &Graph, order: &[VertexId], core_size: usize) -> Self {
+    /// Builds the shortcut topology of `graph` with `core_size` vertices
+    /// left uncontracted. The contraction order is the public
+    /// [`contraction_order`], which eliminates only the `n − core_size`
+    /// vertices contracted here and ranks the core after them by id.
+    pub fn build(graph: &Graph, core_size: usize) -> Self {
+        Self::contract(graph, contraction_order(graph, core_size), core_size)
+    }
+
+    /// Simulated contraction along `order`: its first `n − core_size`
+    /// vertices are contracted in sequence, and contracting `v` connects
+    /// every ordered pair `(u, w)` of its uncontracted in/out-neighbours —
+    /// unconditionally, because without weights there is no witness to
+    /// consult. Conservative (a witness-pruned hierarchy is a subgraph of
+    /// this one) and therefore exact.
+    fn contract(graph: &Graph, order: Vec<VertexId>, core_size: usize) -> Self {
         let n = graph.num_vertices();
         assert_eq!(order.len(), n);
         assert!((1..=n).contains(&core_size), "core must keep >= 1 vertex");
@@ -297,7 +306,7 @@ impl FedChTopology {
         // derived structures are built, which keeps the build's peak down.
         drop((fwd, bwd, contracted));
         Self::finish(
-            order.to_vec(),
+            order,
             rank,
             core_size,
             graph.num_arcs(),
@@ -421,18 +430,17 @@ pub struct FedChIndex {
 impl FedChIndex {
     /// Builds the index: metric-independent topology (no communication)
     /// followed by a full customization sweep in which every keep-minimum
-    /// decision goes through `cmp` (Fed-SAC). The first `n − core_size`
-    /// vertices of `order` are contracted; the rest stay as the
-    /// uncontracted core that queries cross with A* pruning (the
-    /// combination evaluated in the paper's Figure 7).
+    /// decision goes through `cmp` (Fed-SAC). All but `core_size` vertices
+    /// are contracted; the rest stay as the uncontracted core that queries
+    /// cross with A* pruning (the combination evaluated in the paper's
+    /// Figure 7).
     pub fn build(
         graph: &Graph,
         silos: &[SiloWeights],
-        order: &[VertexId],
         core_size: usize,
         cmp: &mut dyn JointComparator,
     ) -> Self {
-        let topo = Arc::new(FedChTopology::build(graph, order, core_size));
+        let topo = Arc::new(FedChTopology::build(graph, core_size));
         Self::customize_fresh(topo, silos, cmp)
     }
 
@@ -1057,7 +1065,6 @@ mod tests {
     use crate::oracle::JointOracle;
     use crate::partials::SacComparator;
     use crate::spsp::fed_spsp;
-    use fedroad_graph::ch::contraction_order;
     use fedroad_graph::gen::{grid_city, GridCityParams};
     use fedroad_graph::traffic::{gen_silo_weights, CongestionLevel};
     use fedroad_mpc::SacBackend;
@@ -1077,11 +1084,10 @@ mod tests {
     }
 
     fn build_index(fed: &mut Federation) -> FedChIndex {
-        let order = contraction_order(fed.graph());
-        let core = (order.len() / 10).max(1);
+        let core = (fed.graph().num_vertices() / 10).max(1);
         let (graph, silos, engine) = fed.split_mut();
         let mut cmp = SacComparator::new(engine);
-        FedChIndex::build(graph, silos, &order, core, &mut cmp)
+        FedChIndex::build(graph, silos, core, &mut cmp)
     }
 
     fn ch_query(
@@ -1150,8 +1156,7 @@ mod tests {
         // same arena — only the customized weights differ. This is the
         // invariant that makes weight refreshes pure re-customization.
         let g = grid_city(&GridCityParams::small(), 43);
-        let order = contraction_order(&g);
-        let core = (order.len() / 10).max(1);
+        let core = (g.num_vertices() / 10).max(1);
         let make = |level: CongestionLevel| -> FedChIndex {
             let w = gen_silo_weights(&g, level, 2, 43);
             let mut fed = Federation::new(
@@ -1164,7 +1169,7 @@ mod tests {
             );
             let (graph, silos, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);
-            FedChIndex::build(graph, silos, &order, core, &mut cmp)
+            FedChIndex::build(graph, silos, core, &mut cmp)
         };
         let a = make(CongestionLevel::Slight);
         let b = make(CongestionLevel::Heavy);
@@ -1309,7 +1314,6 @@ mod hierarchy_property_tests {
     use crate::federation::{Federation, FederationConfig};
     use crate::oracle::JointOracle;
     use crate::partials::SacComparator;
-    use fedroad_graph::ch::contraction_order;
     use fedroad_graph::gen::{grid_city, GridCityParams};
     use fedroad_graph::traffic::{gen_silo_weights, CongestionLevel};
     use fedroad_mpc::SacBackend;
@@ -1330,12 +1334,11 @@ mod hierarchy_property_tests {
             },
         );
         let oracle = JointOracle::new(&fed);
-        let order = contraction_order(fed.graph());
         let index = {
-            let core = (order.len() / 10).max(1);
+            let core = (fed.graph().num_vertices() / 10).max(1);
             let (graph, silos, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);
-            FedChIndex::build(graph, silos, &order, core, &mut cmp)
+            FedChIndex::build(graph, silos, core, &mut cmp)
         };
         // exhaustive plain dijkstra over up graphs with joint (scaled) weights
         let n = fed.graph().num_vertices();
@@ -1386,7 +1389,6 @@ mod persistence_tests {
     use crate::federation::{Federation, FederationConfig};
     use crate::oracle::JointOracle;
     use crate::partials::SacComparator;
-    use fedroad_graph::ch::contraction_order;
     use fedroad_graph::gen::{grid_city, GridCityParams};
     use fedroad_graph::traffic::{gen_silo_weights, CongestionLevel};
     use fedroad_mpc::SacBackend;
@@ -1402,12 +1404,11 @@ mod persistence_tests {
                 seed: 61,
             },
         );
-        let order = contraction_order(fed.graph());
-        let core = (order.len() / 10).max(1);
+        let core = (fed.graph().num_vertices() / 10).max(1);
         let index = {
             let (graph, silos, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);
-            FedChIndex::build(graph, silos, &order, core, &mut cmp)
+            FedChIndex::build(graph, silos, core, &mut cmp)
         };
         (fed, index)
     }
@@ -1529,6 +1530,152 @@ mod persistence_tests {
                 assert_eq!(stripped.weights[0], full.weights[1]);
                 assert_eq!(stripped.head, full.head);
                 assert_eq!(stripped.middle, full.middle);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod prefix_order_tests {
+    use super::*;
+    use crate::engine::Method;
+    use crate::federation::{Federation, FederationConfig};
+    use crate::partials::SacComparator;
+    use fedroad_graph::gen::{grid_city, GridCityParams, RoadNetworkPreset};
+    use fedroad_graph::traffic::{gen_silo_weights, CongestionLevel};
+    use fedroad_graph::{Coord, GraphBuilder};
+    use fedroad_mpc::SacBackend;
+
+    /// Builds `g`'s index with `core` core vertices twice under the same
+    /// weights: through [`FedChIndex::build`], whose order stops at the
+    /// core, and along the order that eliminates every vertex. Returns
+    /// `(index, build Fed-SACs)` for each, in that order.
+    fn build_both(g: &Graph, core: usize) -> [(FedChIndex, u64); 2] {
+        let w = gen_silo_weights(g, CongestionLevel::Moderate, 3, 17);
+        let mut fed = Federation::new(
+            g.clone(),
+            w,
+            FederationConfig {
+                backend: SacBackend::Modeled,
+                seed: 17,
+            },
+        );
+        let mut build = |full: bool| -> (FedChIndex, u64) {
+            let before = fed.sac_cumulative_stats().invocations;
+            let (graph, silos, engine) = fed.split_mut();
+            let mut cmp = SacComparator::new(engine);
+            let index = if full {
+                let topo = FedChTopology::contract(graph, contraction_order(graph, 0), core);
+                FedChIndex::customize_fresh(Arc::new(topo), silos, &mut cmp)
+            } else {
+                FedChIndex::build(graph, silos, core, &mut cmp)
+            };
+            (index, fed.sac_cumulative_stats().invocations - before)
+        };
+        [build(false), build(true)]
+    }
+
+    /// Everything but the ranks inside the core, and the levels of the
+    /// core–core arcs derived from them, is the same in both indexes.
+    /// Returns the build's Fed-SAC count.
+    fn assert_same_index(g: &Graph, core: usize) -> u64 {
+        let [(prefix, prefix_sacs), (full, full_sacs)] = build_both(g, core);
+        let (a, b) = (&*prefix.topo, &*full.topo);
+        let contracted = g.num_vertices() - core;
+        assert_eq!(a.order[..contracted], b.order[..contracted]);
+        let core_set = |t: &FedChTopology| {
+            let mut set = t.order[contracted..].to_vec();
+            set.sort();
+            set
+        };
+        assert_eq!(
+            core_set(a),
+            core_set(b),
+            "is_core selects the same vertices"
+        );
+
+        let floor = contracted as u32;
+        let core_core =
+            |arc: &TopoArc| a.rank[arc.tail.index()] >= floor && a.rank[arc.head.index()] >= floor;
+        assert_eq!(a.arcs.len(), b.arcs.len());
+        for (id, (x, y)) in a.arcs.iter().zip(&b.arcs).enumerate() {
+            assert_eq!((x.tail, x.head, x.orig), (y.tail, y.head, y.orig));
+            if core_core(x) {
+                assert!(
+                    a.dependents.get(id).is_empty() && b.dependents.get(id).is_empty(),
+                    "core-core arc {id} is a triangle side"
+                );
+            } else {
+                assert_eq!(x.level, y.level, "arc {id}");
+            }
+        }
+        let tris = |t: &FedChTopology| -> Vec<(VertexId, u32, u32)> {
+            t.triangles
+                .items
+                .iter()
+                .map(|tri| (tri.middle, tri.uv, tri.vw))
+                .collect()
+        };
+        assert_eq!(a.triangles.start, b.triangles.start);
+        assert_eq!(tris(a), tris(b));
+        assert_eq!(a.dependents.start, b.dependents.start);
+        assert_eq!(a.dependents.items, b.dependents.items);
+        assert_eq!(a.up_out, b.up_out);
+        assert_eq!(a.up_in, b.up_in);
+        assert_eq!(prefix.weights, full.weights);
+        assert_eq!(prefix.middle, full.middle);
+        assert_eq!(prefix_sacs, full_sacs, "build Fed-SACs");
+        prefix_sacs
+    }
+
+    /// A 6 × 6 grid whose rows alternate one-way directions, with
+    /// two-way columns and a few one-way diagonals.
+    fn one_way_grid() -> Graph {
+        let side = 6u32;
+        let mut b = GraphBuilder::new();
+        for i in 0..side * side {
+            b.add_vertex(Coord {
+                x: f64::from(i % side) * 100.0,
+                y: f64::from(i / side) * 100.0,
+            });
+        }
+        let at = |x: u32, y: u32| VertexId(y * side + x);
+        for y in 0..side {
+            for x in 0..side - 1 {
+                let (l, r) = (at(x, y), at(x + 1, y));
+                let w = 90 + u64::from((x * 7 + y * 3) % 20);
+                if y % 2 == 0 {
+                    b.add_arc(l, r, w);
+                } else {
+                    b.add_arc(r, l, w);
+                }
+            }
+        }
+        for y in 0..side - 1 {
+            for x in 0..side {
+                b.add_bidirectional(at(x, y), at(x, y + 1), 110);
+            }
+        }
+        for k in 0..side - 1 {
+            b.add_arc(at(k, k), at(k + 1, k + 1), 150);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn stopping_the_order_at_the_core_changes_no_index_content() {
+        let fedroad = Method::FedRoad.config();
+        let cal = RoadNetworkPreset::CalS.generate(7);
+        for core in [
+            cal.num_vertices() / 10,
+            fedroad.core_size(cal.num_vertices()),
+        ] {
+            assert!(assert_same_index(&cal, core) > 0, "CAL-S builds compare");
+        }
+        for g in [grid_city(&GridCityParams::small(), 5), one_way_grid()] {
+            let n = g.num_vertices();
+            for core in [1, n / 10, fedroad.core_size(n), n - 1] {
+                assert_same_index(&g, core.max(1));
             }
         }
     }

@@ -15,7 +15,8 @@
 //! * [`algo`] — Dijkstra reference searches and the resumable,
 //!   distance-only [`algo::ResumableDijkstra`] behind the Fed-AMPS bound.
 //! * [`ch`] — the **weight-independent** contraction order shared by all
-//!   silos.
+//!   silos: it eliminates only the vertices the index contracts and ranks
+//!   the uncontracted core after them by id.
 //! * [`landmarks`] — landmark selection and landmark distance tables.
 //!
 //! Nothing in this crate touches secret data; per-silo weight vectors are

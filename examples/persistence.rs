@@ -13,7 +13,6 @@ use fedroad::{
     gen_silo_weights, grid_city, CongestionLevel, Federation, FederationConfig, GridCityParams,
     JointOracle, QueueKind, SacBackend, SacComparator, VertexId,
 };
-use fedroad_graph::ch::contraction_order;
 use fedroad_graph::dimacs::{parse_dimacs, write_co, write_gr};
 
 fn main() {
@@ -46,12 +45,11 @@ fn main() {
     );
 
     // Collaborative index construction (the expensive part).
-    let order = contraction_order(fed.graph());
-    let core = (order.len() / 10).max(1);
+    let core = (fed.graph().num_vertices() / 10).max(1);
     let index = {
         let (g, s, e) = fed.split_mut();
         let mut cmp = SacComparator::new(e);
-        FedChIndex::build(g, s, &order, core, &mut cmp)
+        FedChIndex::build(g, s, core, &mut cmp)
     };
     println!(
         "  built federated shortcut index: {} shortcuts ({} Fed-SACs spent)",

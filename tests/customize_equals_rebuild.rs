@@ -14,7 +14,6 @@ use fedroad::{
     FederationConfig, GridCityParams, JointOracle, SacBackend, SacComparator, VertexId,
     WeightChange,
 };
-use fedroad_graph::ch::contraction_order;
 use fedroad_graph::{ArcId, Graph};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -32,10 +31,10 @@ fn make_fed(g: &Graph, level: CongestionLevel, silos: usize, seed: u64) -> Feder
     )
 }
 
-fn build_index(fed: &mut Federation, order: &[VertexId], core: usize) -> FedChIndex {
+fn build_index(fed: &mut Federation, core: usize) -> FedChIndex {
     let (graph, silos, engine) = fed.split_mut();
     let mut cmp = SacComparator::new(engine);
-    FedChIndex::build(graph, silos, order, core, &mut cmp)
+    FedChIndex::build(graph, silos, core, &mut cmp)
 }
 
 /// The bit-identity claim: every overlay arc of the customized index
@@ -96,10 +95,9 @@ fn assert_queries_identical(
 /// through the live path) against one long-lived customized index,
 /// cross-checking structure + queries against a rebuild every round.
 fn run_rounds(g: &Graph, level: CongestionLevel, silos: usize, seed: u64, rounds: u64) {
-    let order = contraction_order(g);
     let core = (g.num_vertices() / 10).max(1);
     let mut fed = make_fed(g, level, silos, seed);
-    let mut index = build_index(&mut fed, &order, core);
+    let mut index = build_index(&mut fed, core);
     let mut rng = ChaCha12Rng::seed_from_u64(seed ^ 0xD1FF);
     let m = g.num_arcs() as u32;
     let n = g.num_vertices() as u32;
@@ -127,7 +125,7 @@ fn run_rounds(g: &Graph, level: CongestionLevel, silos: usize, seed: u64, rounds
             index.update(graph, silos, &changed, &mut cmp);
         }
 
-        let rebuilt = build_index(&mut fed, &order, core);
+        let rebuilt = build_index(&mut fed, core);
         assert_structurally_identical(g, &index, &rebuilt);
         let pairs = [
             (VertexId(rng.gen_range(0..n)), VertexId(rng.gen_range(0..n))),
@@ -161,10 +159,9 @@ fn congestion_wave_stream_stays_bit_identical() {
     // The exact update stream the live-traffic driver feeds the index.
     use fedroad::CongestionWave;
     let g = grid_city(&GridCityParams::small(), 79);
-    let order = contraction_order(&g);
     let core = (g.num_vertices() / 10).max(1);
     let mut fed = make_fed(&g, CongestionLevel::Moderate, 3, 79);
-    let mut index = build_index(&mut fed, &order, core);
+    let mut index = build_index(&mut fed, core);
     let baseline: Vec<Vec<u64>> = (0..3).map(|p| fed.silo(p).as_slice().to_vec()).collect();
     let mut wave = CongestionWave::new(&g, 3, CongestionLevel::Heavy, 2, 79);
     for round in 0..40u32 {
@@ -183,7 +180,7 @@ fn congestion_wave_stream_stays_bit_identical() {
             let mut cmp = SacComparator::new(engine);
             index.update(graph, silos, &changed, &mut cmp);
         }
-        let rebuilt = build_index(&mut fed, &order, core);
+        let rebuilt = build_index(&mut fed, core);
         assert_structurally_identical(&g, &index, &rebuilt);
         if round % 8 == 0 {
             let n = g.num_vertices() as u32;

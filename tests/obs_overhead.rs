@@ -112,17 +112,27 @@ fn disabled_recorder_overhead_is_within_five_percent() {
     assert_overhead_within_budget("recording disabled");
 }
 
+/// Turns the flight sink off when dropped, so a failed measurement does
+/// not leave it on under the next test.
+struct FlightOff;
+
+impl Drop for FlightOff {
+    fn drop(&mut self) {
+        fedroad::obs::flight::disable();
+    }
+}
+
 #[test]
 fn flight_recorder_overhead_is_within_five_percent() {
     let _g = GATE.lock().unwrap_or_else(|p| p.into_inner());
     // Flight sink on, aggregate recorder off — the always-on crash
     // telemetry configuration a serving process would run with.
     fedroad::obs::flight::enable(None);
+    let _off = FlightOff;
     assert!(fedroad::obs::flight::is_enabled());
     assert!(
         !fedroad::obs::is_enabled(),
         "aggregate recorder must stay off for this measurement"
     );
     assert_overhead_within_budget("flight recorder enabled");
-    fedroad::obs::flight::disable();
 }
