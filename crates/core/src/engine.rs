@@ -253,23 +253,31 @@ impl QueryEngine {
         let _span = fedroad_obs::span("engine.build");
 
         let core_size = config.core_size(fed.graph().num_vertices());
-        let fedch = config.use_shortcuts.then(|| match shared_index {
-            Some(index) => {
-                if index.core_size() != core_size {
-                    // lint: panic-ok(a mismatched shared index is a caller bug, not a protocol input)
-                    panic!(
-                        "shared shortcut index keeps {} core vertices, but this configuration \
-                         needs {core_size}",
-                        index.core_size()
-                    );
+        let graph = Arc::clone(&fed.graph);
+        let fedch = std::thread::scope(|scope| {
+            // Fed-AMPS aims its sweeps with the graph's landmark bounds:
+            // compute them beside the index build, not in the first query.
+            if config.lower_bound == LowerBoundKind::Amps {
+                scope.spawn(|| graph.landmark_bounds());
+            }
+            config.use_shortcuts.then(|| match shared_index {
+                Some(index) => {
+                    if index.core_size() != core_size {
+                        // lint: panic-ok(a mismatched shared index is a caller bug, not a protocol input)
+                        panic!(
+                            "shared shortcut index keeps {} core vertices, but this \
+                             configuration needs {core_size}",
+                            index.core_size()
+                        );
+                    }
+                    Arc::clone(index)
                 }
-                Arc::clone(index)
-            }
-            None => {
-                let (graph, silos, engine) = fed.split_mut();
-                let mut cmp = SacComparator::new(engine);
-                Arc::new(FedChIndex::build(graph, silos, core_size, &mut cmp))
-            }
+                None => {
+                    let (graph, silos, engine) = fed.split_mut();
+                    let mut cmp = SacComparator::new(engine);
+                    Arc::new(FedChIndex::build(graph, silos, core_size, &mut cmp))
+                }
+            })
         });
 
         let num_landmarks = match config.lower_bound {
@@ -505,6 +513,22 @@ mod tests {
                 seed,
             },
         )
+    }
+
+    #[test]
+    fn build_leaves_the_landmark_bounds_amps_reads_computed() {
+        let mut fed = make_fed(53);
+        assert!(!fed.graph().has_landmark_bounds());
+        QueryEngine::build(&mut fed, Method::FedShortcut.config());
+        assert!(
+            !fed.graph().has_landmark_bounds(),
+            "only Fed-AMPS reads them"
+        );
+        QueryEngine::build(&mut fed, Method::FedRoad.config());
+        assert!(
+            fed.graph().has_landmark_bounds(),
+            "the first query must not pay"
+        );
     }
 
     #[test]

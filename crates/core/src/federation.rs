@@ -10,36 +10,74 @@ use std::sync::Arc;
 /// The newtype marks custody: production code never averages these across
 /// silos (that is what [`crate::oracle::JointOracle`] exists for, and it is
 /// explicitly a test/evaluation tool).
+///
+/// It also keeps a lower bound on the silo's smallest ratio `w / w0` to the
+/// public free-flow weights, capped at 1, so that a free-flow distance
+/// bound scaled by it ([`Self::scale_free_flow`]) lower-bounds the silo's
+/// own distance even where a weight falls below free flow.
 #[derive(Clone, Debug)]
-pub struct SiloWeights(Vec<Weight>);
+pub struct SiloWeights {
+    weights: Vec<Weight>,
+    /// `(num, den)` with `num ≤ den`: `w(a) · den ≥ w0(a) · num` for
+    /// every arc `a`.
+    free_flow_ratio: (Weight, Weight),
+}
 
 impl SiloWeights {
-    /// Wraps a weight vector (one entry per arc of the shared graph).
-    pub fn new(weights: Vec<Weight>) -> Self {
-        SiloWeights(weights)
+    /// Wraps a weight vector (one entry per arc of `graph`) and finds its
+    /// smallest ratio to `graph`'s free-flow weights.
+    pub(crate) fn new(graph: &Graph, weights: Vec<Weight>) -> Self {
+        let mut silo = SiloWeights {
+            weights,
+            free_flow_ratio: (1, 1),
+        };
+        for (a, &w0) in graph.static_weights().iter().enumerate() {
+            silo.lower_ratio(silo.weights[a], w0);
+        }
+        silo
+    }
+
+    /// Lowers the kept ratio to `w / w0` when that is smaller.
+    fn lower_ratio(&mut self, w: Weight, w0: Weight) {
+        let (num, den) = self.free_flow_ratio;
+        if u128::from(w) * u128::from(den) < u128::from(num) * u128::from(w0) {
+            self.free_flow_ratio = (w, w0);
+        }
+    }
+
+    /// Scales a lower bound on a free-flow distance into a lower bound on
+    /// this silo's distance over the same vertices: `bound` itself when
+    /// no weight is below free flow, else `⌊bound · num / den⌋`. The
+    /// scaled bound stays consistent along every arc when `bound` is.
+    #[inline]
+    pub fn scale_free_flow(&self, bound: Weight) -> Weight {
+        match self.free_flow_ratio {
+            (num, den) if num == den => bound,
+            (num, den) => (u128::from(bound) * u128::from(num) / u128::from(den)) as Weight,
+        }
     }
 
     /// The silo-local weight of arc `a` — only meaningful *inside* this
     /// silo's local computations (local searches, partial-cost sums).
     #[inline]
     pub fn weight(&self, a: fedroad_graph::ArcId) -> Weight {
-        self.0[a.index()]
+        self.weights[a.index()]
     }
 
     /// The full local weight slice, for silo-local algorithms.
     #[inline]
     pub fn as_slice(&self) -> &[Weight] {
-        &self.0
+        &self.weights
     }
 
     /// Number of arcs covered.
     pub fn len(&self) -> usize {
-        self.0.len()
+        self.weights.len()
     }
 
     /// True when empty (a zero-arc graph).
     pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
+        self.weights.is_empty()
     }
 }
 
@@ -103,9 +141,13 @@ impl Federation {
             );
         }
         let engine = SacEngine::new(silo_weights.len(), config.backend, config.seed);
+        let silos = silo_weights
+            .into_iter()
+            .map(|w| SiloWeights::new(&graph, w))
+            .collect();
         Federation {
             graph: Arc::new(graph),
-            silos: Arc::new(silo_weights.into_iter().map(SiloWeights::new).collect()),
+            silos: Arc::new(silos),
             engine,
         }
     }
@@ -164,8 +206,8 @@ impl Federation {
     /// (see [`crate::fedch`]).
     pub fn update_silo_weights(&mut self, p: usize, weights: Vec<Weight>) {
         assert_eq!(weights.len(), self.graph.num_arcs());
-        if self.silos[p].0 != weights {
-            Arc::make_mut(&mut self.silos)[p] = SiloWeights::new(weights);
+        if self.silos[p].weights != weights {
+            Arc::make_mut(&mut self.silos)[p] = SiloWeights::new(&self.graph, weights);
         }
     }
 
@@ -175,13 +217,19 @@ impl Federation {
     /// whose weight actually changed on any silo (deduplicated, ascending),
     /// ready to hand to
     /// [`QueryEngine::update_index`](crate::engine::QueryEngine::update_index).
+    ///
+    /// A weight lowered below the silo's kept free-flow ratio lowers the
+    /// ratio; a raised one leaves it as it is (still a valid lower bound,
+    /// and raising it would take a pass over every arc).
     pub fn apply_weight_updates(&mut self, updates: &[crate::fedch::WeightChange]) -> Vec<ArcId> {
         let mut changed = std::collections::BTreeSet::new();
         for u in updates {
             assert!(u.silo < self.silos.len(), "silo out of range");
             assert!(u.arc.index() < self.graph.num_arcs(), "arc out of range");
             if self.silos[u.silo].weight(u.arc) != u.weight {
-                Arc::make_mut(&mut self.silos)[u.silo].0[u.arc.index()] = u.weight;
+                let silo = &mut Arc::make_mut(&mut self.silos)[u.silo];
+                silo.weights[u.arc.index()] = u.weight;
+                silo.lower_ratio(u.weight, self.graph.static_weight(u.arc));
                 changed.insert(u.arc);
             }
         }

@@ -15,7 +15,10 @@
 //!   partial shortest-path costs lower-bounds the joint cost (Equation 3).
 //!   Pure local computation, and the most accurate of the three
 //!   (reproduced in Figure 11). Each silo's sweep settles only as far as
-//!   the search asks.
+//!   the search asks, in A\* order toward the query's other endpoint
+//!   under the graph's public landmark bounds on free-flow distances, so
+//!   it settles the vertices between `s` and `t` first; every estimate is
+//!   still the exact local distance.
 
 use crate::federation::SiloWeights;
 use crate::partials::{JointComparator, PartialKey};
@@ -23,7 +26,7 @@ use crate::sssp::fed_sssp;
 use crate::view::SearchView;
 use fedroad_graph::algo::ResumableDijkstra;
 use fedroad_graph::landmarks::LandmarkTable;
-use fedroad_graph::{Direction, Graph, VertexId, INFINITY};
+use fedroad_graph::{Direction, Graph, VertexId, Weight, INFINITY};
 use fedroad_queue::QueueKind;
 use std::collections::HashMap;
 
@@ -329,21 +332,39 @@ impl FedPotential for FedAltMaxPotential<'_> {
     }
 }
 
-/// Fed-AMPS: each silo's exact local distance, from one silo-local
-/// Dijkstra sweep per silo and direction (the paper's "pay more local
-/// computation"). A sweep starts at the first estimate asked in its
-/// direction and settles only as far as the farthest vertex asked, so a
-/// search that reads only `toward_target` never sweeps from `s`. Every
-/// estimate equals the one a full sweep gives.
+/// Fed-AMPS: each silo's exact local distance, from one silo-local sweep
+/// per silo and direction (the paper's "pay more local computation").
+///
+/// A sweep starts at the first estimate asked in its direction and
+/// settles only as far as the vertex asked, so a search that reads only
+/// `toward_target` never sweeps from `s`. Each sweep is A\*-ordered
+/// toward the other endpoint: the backward sweep from `t` keys a vertex
+/// `u` by its distance plus a lower bound on the distance `s → u` (the
+/// forward sweep from `s` aims at `t` the same way), so it settles the
+/// vertices between `s` and `t` first. The bound is the graph's public
+/// [`LandmarkBounds`](fedroad_graph::landmarks::LandmarkBounds) on
+/// free-flow distances, computed once per vertex and query and shared by
+/// the silos, each scaling it by its smallest weight-to-free-flow ratio
+/// ([`SiloWeights::scale_free_flow`]) so that it stays consistent for any
+/// silo weights. A vertex's distance is final when it settles, so every
+/// estimate equals the one a full Dijkstra sweep gives.
 pub struct FedAmpsPotential<'a> {
     graph: &'a Graph,
     silos: &'a [SiloWeights],
     s: VertexId,
     t: VertexId,
-    /// Silo `p`'s backward sweep from `t` (empty until first asked).
-    to_t: Vec<ResumableDijkstra<'a>>,
-    /// Silo `p`'s forward sweep from `s` (empty until first asked).
-    from_s: Vec<ResumableDijkstra<'a>>,
+    /// The backward sweeps from `t` (not started until first asked).
+    to_t: Option<GuidedSweeps<'a>>,
+    /// The forward sweeps from `s` (not started until first asked).
+    from_s: Option<GuidedSweeps<'a>>,
+}
+
+/// One direction's per-silo sweeps and the free-flow bound they share.
+struct GuidedSweeps<'a> {
+    sweeps: Vec<ResumableDijkstra<'a>>,
+    /// `free_flow[u]` = 1 + the free-flow bound between `u` and the goal,
+    /// or 0 while not yet computed.
+    free_flow: Vec<Weight>,
 }
 
 impl<'a> FedAmpsPotential<'a> {
@@ -354,8 +375,8 @@ impl<'a> FedAmpsPotential<'a> {
             silos,
             s,
             t,
-            to_t: Vec::new(),
-            from_s: Vec::new(),
+            to_t: None,
+            from_s: None,
         }
     }
 
@@ -363,23 +384,40 @@ impl<'a> FedAmpsPotential<'a> {
     /// `direction` sweeps from, with unreachable vertices bounded by 0.
     /// Starts that direction's sweeps on first use.
     fn local_bounds(&mut self, direction: Direction, v: VertexId) -> PartialKey {
-        let (sweeps, root) = match direction {
-            Direction::Backward => (&mut self.to_t, self.t),
-            Direction::Forward => (&mut self.from_s, self.s),
+        let (graph, silos, s, t) = (self.graph, self.silos, self.s, self.t);
+        let (guided, root) = match direction {
+            Direction::Backward => (&mut self.to_t, t),
+            Direction::Forward => (&mut self.from_s, s),
         };
-        if sweeps.is_empty() {
-            *sweeps = self
-                .silos
+        let GuidedSweeps { sweeps, free_flow } = guided.get_or_insert_with(|| GuidedSweeps {
+            sweeps: silos
                 .iter()
-                .map(|w| ResumableDijkstra::new(self.graph, w.as_slice(), root, direction))
-                .collect();
-        }
+                .map(|w| ResumableDijkstra::new(graph, w.as_slice(), root, direction))
+                .collect(),
+            free_flow: vec![0; graph.num_vertices()],
+        });
+        let landmarks = graph.landmark_bounds();
+        // Backward from `t`, a vertex `u` is `s → u` away from the goal;
+        // forward from `s`, `u → t`.
+        let mut bound = |u: VertexId| {
+            let memo = &mut free_flow[u.index()];
+            if *memo == 0 {
+                *memo = 1 + match direction {
+                    Direction::Backward => landmarks.lower_bound(s, u),
+                    Direction::Forward => landmarks.lower_bound(u, t),
+                };
+            }
+            *memo - 1
+        };
         sweeps
             .iter_mut()
-            .map(|sweep| match sweep.dist(v) {
-                INFINITY => 0,
-                d => d as i64,
-            })
+            .zip(silos)
+            .map(
+                |(sweep, w)| match sweep.dist(v, |u| w.scale_free_flow(bound(u))) {
+                    INFINITY => 0,
+                    d => d as i64,
+                },
+            )
             .collect()
     }
 }
@@ -401,15 +439,20 @@ impl FedPotential for FedAmpsPotential<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fedch::WeightChange;
     use crate::federation::{Federation, FederationConfig};
     use crate::oracle::JointOracle;
     use crate::partials::{PlainComparator, SacComparator};
     use crate::view::BaseView;
     use fedroad_graph::algo::sssp_until;
-    use fedroad_graph::gen::{grid_city, GridCityParams};
+    use fedroad_graph::gen::{grid_city, GridCityParams, RoadNetworkPreset};
     use fedroad_graph::landmarks::select_landmarks;
     use fedroad_graph::traffic::{gen_silo_weights, CongestionLevel};
+    use fedroad_graph::ArcId;
     use fedroad_mpc::SacBackend;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha12Rng;
 
     fn make_fed(seed: u64) -> Federation {
         let g = grid_city(&GridCityParams::small(), seed);
@@ -567,6 +610,130 @@ mod tests {
                     (amps.from_source(v, &mut plain), bounds(&from_s, v))
                 };
                 assert_eq!(got, want, "{v} toward_target={toward}");
+            }
+        }
+    }
+
+    /// A 6 × 6 grid with one-way rows (alternating) and upward-only
+    /// columns, plus an isolated vertex: most pairs are unreachable one
+    /// way or both.
+    fn one_way_grid() -> Graph {
+        let side = 6u32;
+        let mut b = fedroad_graph::GraphBuilder::new();
+        for i in 0..=side * side {
+            b.add_vertex(fedroad_graph::Coord {
+                x: f64::from(i % side) * 100.0,
+                y: f64::from(i / side) * 100.0,
+            });
+        }
+        let at = |x: u32, y: u32| VertexId(y * side + x);
+        for y in 0..side {
+            for x in 0..side - 1 {
+                let w = 90 + u64::from((x * 7 + y * 3) % 20);
+                let (l, r) = (at(x, y), at(x + 1, y));
+                let (tail, head) = if y % 2 == 0 { (l, r) } else { (r, l) };
+                b.add_arc(tail, head, w);
+                if y + 1 < side {
+                    b.add_arc(at(x, y), at(x, y + 1), 110 + w % 7);
+                }
+            }
+        }
+        b.build()
+    }
+
+    /// `P` silos whose weights scatter from half to twice free flow, so a
+    /// fifth or so of the arcs lie below it.
+    fn scattered_federation(g: Graph, seed: u64) -> Federation {
+        let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let silos = (0..3)
+            .map(|_| {
+                g.static_weights()
+                    .iter()
+                    .map(|&w0| (w0 as f64 * rng.gen_range(0.5..2.0)).round().max(1.0) as u64)
+                    .collect()
+            })
+            .collect();
+        let config = FederationConfig {
+            backend: SacBackend::Modeled,
+            seed,
+        };
+        Federation::new(g, silos, config)
+    }
+
+    /// Asks a fresh potential for every vertex in shuffled order, both
+    /// directions interleaved, and checks each estimate against per-silo
+    /// full Dijkstra runs.
+    fn assert_guided_estimates_exact(fed: &Federation, s: VertexId, t: VertexId, seed: u64) {
+        let graph = fed.graph();
+        let full = |root, direction| -> Vec<Vec<u64>> {
+            fed.silos()
+                .iter()
+                .map(|w| sssp_until(graph, w.as_slice(), root, direction, |_, _| false).dist)
+                .collect()
+        };
+        let (to_t, from_s) = (full(t, Direction::Backward), full(s, Direction::Forward));
+        let want = |dists: &[Vec<u64>], v: VertexId| -> PartialKey {
+            dists
+                .iter()
+                .map(|d| match d[v.index()] {
+                    INFINITY => 0,
+                    x => x as i64,
+                })
+                .collect()
+        };
+        let mut order: Vec<VertexId> = graph.vertices().collect();
+        order.shuffle(&mut ChaCha12Rng::seed_from_u64(seed));
+        let mut plain = PlainComparator::default();
+        let mut amps = FedAmpsPotential::new(graph, fed.silos(), s, t);
+        for (i, &v) in order.iter().enumerate() {
+            let (a, b) = (v, order[order.len() - 1 - i]);
+            assert_eq!(
+                amps.toward_target(a, &mut plain),
+                want(&to_t, a),
+                "{s}->{t}: {a} to t"
+            );
+            assert_eq!(
+                amps.from_source(b, &mut plain),
+                want(&from_s, b),
+                "{s}->{t}: s to {b}"
+            );
+        }
+    }
+
+    #[test]
+    fn guided_sweeps_equal_full_dijkstra_for_any_silo_weights() {
+        for (g, seed) in [
+            (RoadNetworkPreset::CalS.generate(3), 3),
+            (one_way_grid(), 4),
+        ] {
+            let mut fed = scattered_federation(g, seed);
+            let n = fed.graph().num_vertices() as u32;
+            let pairs = [(0, n - 1), (n - 1, 0), (n / 3, 2 * n / 3), (5, n / 2 + 1)];
+            for (k, &(s, t)) in pairs.iter().enumerate() {
+                assert_guided_estimates_exact(&fed, VertexId(s), VertexId(t), k as u64);
+            }
+            // Live updates far below free flow must lower the silos'
+            // scales, or the bound would overestimate through those arcs.
+            let m = fed.graph().num_arcs() as u32;
+            let lowered: Vec<ArcId> = (0..m).step_by(9).map(ArcId).collect();
+            let changes: Vec<WeightChange> = lowered
+                .iter()
+                .flat_map(|&arc| {
+                    (0..3).map(move |silo| WeightChange {
+                        arc,
+                        silo,
+                        weight: 1,
+                    })
+                })
+                .collect();
+            assert_eq!(fed.apply_weight_updates(&changes), lowered);
+            let (tail, head) = fed.graph().arc_endpoints(lowered[lowered.len() / 2]);
+            for (k, &(s, t)) in [(tail.0, head.0), (head.0, tail.0)]
+                .iter()
+                .chain(&pairs)
+                .enumerate()
+            {
+                assert_guided_estimates_exact(&fed, VertexId(s), VertexId(t), 10 + k as u64);
             }
         }
     }

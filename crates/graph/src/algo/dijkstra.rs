@@ -72,11 +72,7 @@ pub fn sssp_until(
         if stop(v, d) {
             break;
         }
-        let arcs: Box<dyn Iterator<Item = crate::graph::Arc>> = match direction {
-            Direction::Forward => Box::new(g.out_arcs(v)),
-            Direction::Backward => Box::new(g.in_arcs(v)),
-        };
-        for arc in arcs {
+        for arc in g.arcs(v, direction) {
             let nd = d + weights[arc.id.index()];
             if nd < dist[arc.head.index()] {
                 dist[arc.head.index()] = nd;
@@ -95,18 +91,27 @@ pub fn sssp_until(
     }
 }
 
-/// A distance-only Dijkstra sweep that settles vertices on demand.
+/// A distance-only, A\*-ordered sweep that settles vertices on demand.
 ///
 /// Each [`dist`](Self::dist) lookup resumes the sweep just until the asked
 /// vertex settles, so a caller that reads only vertices near the source
-/// never pays for the rest of the graph. Every lookup returns what a full
-/// [`sssp_until`] run from the same source would hold in `dist`.
+/// never pays for the rest of the graph. The heap keys a vertex `u` by its
+/// tentative distance plus `potential(u)`, a lower bound on the distance
+/// left to some goal. With a *consistent* potential, one at most
+/// [`INFINITY`](crate::INFINITY) with `potential(v) ≤ w(arc) +
+/// potential(u)` for every arc the sweep relaxes from `v` to `u`, every
+/// vertex's distance is final when it settles. Every lookup then returns
+/// what a full [`sssp_until`] run from the same source would hold in
+/// `dist`, in any lookup order; the potential only decides which vertices
+/// settle first. The zero potential gives plain Dijkstra. Every call on
+/// one sweep must pass the same potential.
 pub struct ResumableDijkstra<'g> {
     g: &'g Graph,
     weights: &'g [Weight],
     direction: Direction,
     dist: Vec<Weight>,
     settled: Vec<bool>,
+    /// `(dist + potential, vertex)`, with stale entries left in place.
     heap: BinaryHeap<Reverse<(Weight, VertexId)>>,
 }
 
@@ -128,39 +133,51 @@ impl<'g> ResumableDijkstra<'g> {
             direction,
             dist,
             settled: vec![false; n],
+            // The source is alone in the heap, so its key is never compared.
             heap: BinaryHeap::from(vec![Reverse((0, source))]),
         }
     }
 
     /// Shortest distance between the source and `v` in the sweep's
     /// direction, or [`INFINITY`](crate::INFINITY) if `v` is unreachable.
-    pub fn dist(&mut self, v: VertexId) -> Weight {
-        let g = self.g;
-        while !self.settled[v.index()] {
-            // An empty heap means every reachable vertex has settled, so
-            // an unsettled `v` still holds INFINITY.
-            let Some(Reverse((d, u))) = self.heap.pop() else {
-                break;
-            };
-            if self.settled[u.index()] {
-                continue; // stale heap entry (lazy deletion)
-            }
-            self.settled[u.index()] = true;
-            match self.direction {
-                Direction::Forward => g.out_arcs(u).for_each(|arc| self.relax(d, arc)),
-                Direction::Backward => g.in_arcs(u).for_each(|arc| self.relax(d, arc)),
-            }
-        }
+    /// `potential` must be consistent (see the type's docs).
+    pub fn dist(&mut self, v: VertexId, mut potential: impl FnMut(VertexId) -> Weight) -> Weight {
+        // An empty heap means every reachable vertex has settled, so an
+        // unsettled `v` still holds INFINITY.
+        while !self.settled[v.index()] && self.settle_next(&mut potential) {}
         self.dist[v.index()]
     }
 
+    /// Runs the sweep to the end and returns every vertex's distance: the
+    /// distance-only full run landmark tables need.
+    pub fn into_distances(mut self) -> Vec<Weight> {
+        while self.settle_next(&mut |_| 0) {}
+        self.dist
+    }
+
+    /// Settles the next vertex and relaxes its arcs; `false` once the heap
+    /// is empty.
     #[inline]
-    fn relax(&mut self, d: Weight, arc: crate::graph::Arc) {
-        let nd = d + self.weights[arc.id.index()];
-        if nd < self.dist[arc.head.index()] {
-            self.dist[arc.head.index()] = nd;
-            self.heap.push(Reverse((nd, arc.head)));
+    fn settle_next(&mut self, potential: &mut impl FnMut(VertexId) -> Weight) -> bool {
+        let u = loop {
+            let Some(Reverse((_, u))) = self.heap.pop() else {
+                return false;
+            };
+            if !self.settled[u.index()] {
+                break u; // else a stale heap entry (lazy deletion)
+            }
+        };
+        self.settled[u.index()] = true;
+        let d = self.dist[u.index()];
+        for arc in self.g.arcs(u, self.direction) {
+            let nd = d + self.weights[arc.id.index()];
+            if nd < self.dist[arc.head.index()] {
+                self.dist[arc.head.index()] = nd;
+                self.heap
+                    .push(Reverse((nd + potential(arc.head), arc.head)));
+            }
         }
+        true
     }
 }
 
@@ -314,19 +331,36 @@ mod tests {
     /// Checks a fresh resumable sweep from every source, in both
     /// directions, against a full `sssp_until` run: every vertex is looked
     /// up in shuffled order, asked twice in a row, and asked again once the
-    /// sweep has gone further.
+    /// sweep has gone further. Each sweep runs unguided and aimed at a
+    /// random goal with the graph's landmark bounds, which must stay
+    /// consistent under `weights` (no arc below free flow).
     fn assert_sweeps_match_full_runs(g: &Graph, weights: &[Weight], seed: u64) {
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
+        let bounds = g.landmark_bounds();
+        let vertices: Vec<VertexId> = g.vertices().collect();
         for direction in [Direction::Forward, Direction::Backward] {
             for source in g.vertices() {
                 let full = sssp_until(g, weights, source, direction, |_, _| false).dist;
-                let mut sweep = ResumableDijkstra::new(g, weights, source, direction);
-                let mut order: Vec<VertexId> = g.vertices().collect();
+                let goal = *vertices.choose(&mut rng).expect("non-empty graph");
+                // Forward sweeps aim `u → goal`; backward ones `goal → u`.
+                let guided = |u: VertexId| match direction {
+                    Direction::Forward => bounds.lower_bound(u, goal),
+                    Direction::Backward => bounds.lower_bound(goal, u),
+                };
+                let mut plain = ResumableDijkstra::new(g, weights, source, direction);
+                let mut aimed = ResumableDijkstra::new(g, weights, source, direction);
+                let mut order = vertices.clone();
                 order.shuffle(&mut rng);
                 for &v in order.iter().chain(&order) {
                     let want = full[v.index()];
-                    assert_eq!(sweep.dist(v), want, "{direction:?} {source}->{v}");
-                    assert_eq!(sweep.dist(v), want, "repeat {direction:?} {source}->{v}");
+                    for _ in 0..2 {
+                        assert_eq!(plain.dist(v, |_| 0), want, "{direction:?} {source}->{v}");
+                        assert_eq!(
+                            aimed.dist(v, guided),
+                            want,
+                            "aimed at {goal}: {source}->{v}"
+                        );
+                    }
                 }
             }
         }
@@ -337,6 +371,33 @@ mod tests {
         let g = grid_city(&GridCityParams::small(), 4);
         let weights = gen_silo_weights(&g, CongestionLevel::Heavy, 1, 4).remove(0);
         assert_sweeps_match_full_runs(&g, &weights, 4);
+
+        // One-way rows (alternating) and upward-only columns: most pairs
+        // are unreachable, so the landmark tables hold capped entries.
+        let side = 7u32;
+        let mut b = GraphBuilder::new();
+        for i in 0..side * side {
+            b.add_vertex(Coord {
+                x: f64::from(i % side),
+                y: f64::from(i / side),
+            });
+        }
+        let at = |x: u32, y: u32| VertexId(y * side + x);
+        for y in 0..side {
+            for x in 0..side {
+                let w = 5 + u64::from((x * 7 + y * 3) % 11);
+                if x + 1 < side {
+                    let (l, r) = (at(x, y), at(x + 1, y));
+                    let (tail, head) = if y % 2 == 0 { (l, r) } else { (r, l) };
+                    b.add_arc(tail, head, w);
+                }
+                if y + 1 < side && (x + y) % 3 != 0 {
+                    b.add_arc(at(x, y), at(x, y + 1), w + 3);
+                }
+            }
+        }
+        let g = b.build();
+        assert_sweeps_match_full_runs(&g, g.static_weights(), 6);
     }
 
     #[test]
@@ -358,13 +419,13 @@ mod tests {
         let g = b.build();
 
         let mut fwd = ResumableDijkstra::new(&g, g.static_weights(), v[2], Direction::Forward);
-        assert_eq!(fwd.dist(v[0]), INFINITY);
-        assert_eq!(fwd.dist(v[3]), 1);
-        assert_eq!(fwd.dist(v[4]), INFINITY);
+        assert_eq!(fwd.dist(v[0], |_| 0), INFINITY);
+        assert_eq!(fwd.dist(v[3], |_| 0), 1);
+        assert_eq!(fwd.dist(v[4], |_| 0), INFINITY);
         let mut bwd = ResumableDijkstra::new(&g, g.static_weights(), v[2], Direction::Backward);
-        assert_eq!(bwd.dist(v[0]), 7);
-        assert_eq!(bwd.dist(v[3]), 1);
-        assert_eq!(bwd.dist(v[4]), INFINITY);
+        assert_eq!(bwd.dist(v[0], |_| 0), 7);
+        assert_eq!(bwd.dist(v[3], |_| 0), 1);
+        assert_eq!(bwd.dist(v[4], |_| 0), INFINITY);
 
         assert_sweeps_match_full_runs(&g, g.static_weights(), 5);
     }

@@ -8,8 +8,13 @@
 //! The graph is directed. Both an out-adjacency and an in-adjacency CSR are
 //! materialized so forward and backward (bidirectional) searches are equally
 //! cheap.
+//!
+//! The graph also holds the [`LandmarkBounds`] derived from `W0`, computed
+//! on first use: public static data every silo could derive locally.
 
 use crate::ids::{ArcId, Coord, VertexId, Weight};
+use crate::landmarks::LandmarkBounds;
+use std::sync::OnceLock;
 
 /// One outgoing (or, in the reverse view, incoming) arc of a vertex.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,6 +42,8 @@ pub struct Graph {
     coords: Vec<Coord>,
     /// Public static free-flow weights `W0`, indexed by arc id.
     static_weights: Vec<Weight>,
+    /// Landmark lower bounds on `W0` distances, computed on first use.
+    landmark_bounds: OnceLock<LandmarkBounds>,
 }
 
 impl Graph {
@@ -60,22 +67,28 @@ impl Graph {
     /// Outgoing arcs of `v`.
     #[inline]
     pub fn out_arcs(&self, v: VertexId) -> impl Iterator<Item = Arc> + '_ {
-        let lo = self.out_offsets[v.index()] as usize;
-        let hi = self.out_offsets[v.index() + 1] as usize;
-        self.out_heads[lo..hi]
-            .iter()
-            .zip(&self.out_arc_ids[lo..hi])
-            .map(|(&head, &id)| Arc { head, id })
+        self.arcs(v, Direction::Forward)
     }
 
     /// Incoming arcs of `v`; `Arc::head` is the arc's *tail* vertex here.
     #[inline]
     pub fn in_arcs(&self, v: VertexId) -> impl Iterator<Item = Arc> + '_ {
-        let lo = self.in_offsets[v.index()] as usize;
-        let hi = self.in_offsets[v.index() + 1] as usize;
-        self.in_tails[lo..hi]
+        self.arcs(v, Direction::Backward)
+    }
+
+    /// The arcs a search in `direction` leaves `v` by: outgoing arcs
+    /// forward, incoming arcs backward (`Arc::head` is then the tail).
+    #[inline]
+    pub fn arcs(&self, v: VertexId, direction: Direction) -> impl Iterator<Item = Arc> + '_ {
+        let (offsets, heads, ids) = match direction {
+            Direction::Forward => (&self.out_offsets, &self.out_heads, &self.out_arc_ids),
+            Direction::Backward => (&self.in_offsets, &self.in_tails, &self.in_arc_ids),
+        };
+        let lo = offsets[v.index()] as usize;
+        let hi = offsets[v.index() + 1] as usize;
+        heads[lo..hi]
             .iter()
-            .zip(&self.in_arc_ids[lo..hi])
+            .zip(&ids[lo..hi])
             .map(|(&head, &id)| Arc { head, id })
     }
 
@@ -122,6 +135,18 @@ impl Graph {
         &self.static_weights
     }
 
+    /// The graph's [`LandmarkBounds`], computed on the first call (a few
+    /// full Dijkstra runs on `W0`) and shared by every later one.
+    pub fn landmark_bounds(&self) -> &LandmarkBounds {
+        self.landmark_bounds
+            .get_or_init(|| LandmarkBounds::compute(self))
+    }
+
+    /// Whether [`Self::landmark_bounds`] has been computed yet.
+    pub fn has_landmark_bounds(&self) -> bool {
+        self.landmark_bounds.get().is_some()
+    }
+
     /// Looks up the arc id from `tail` to `head`, if such an arc exists.
     ///
     /// Linear in the out-degree of `tail`, which is tiny on road networks.
@@ -147,11 +172,7 @@ impl Graph {
         seen[src.index()] = true;
         let mut count = 1;
         while let Some(v) = stack.pop() {
-            let neighbours: Box<dyn Iterator<Item = Arc>> = match dir {
-                Direction::Forward => Box::new(self.out_arcs(v)),
-                Direction::Backward => Box::new(self.in_arcs(v)),
-            };
-            for arc in neighbours {
+            for arc in self.arcs(v, dir) {
                 if !seen[arc.head.index()] {
                     seen[arc.head.index()] = true;
                     count += 1;
@@ -297,6 +318,7 @@ impl GraphBuilder {
             arc_endpoints,
             coords: self.coords,
             static_weights,
+            landmark_bounds: OnceLock::new(),
         }
     }
 }

@@ -13,11 +13,13 @@
 //! * [`traffic`] — congestion models generating per-silo private weight
 //!   sets, and the data-volume observation model behind the paper's Fig. 1.
 //! * [`algo`] — Dijkstra reference searches and the resumable,
-//!   distance-only [`algo::ResumableDijkstra`] behind the Fed-AMPS bound.
+//!   distance-only, A\*-ordered [`algo::ResumableDijkstra`] behind the
+//!   Fed-AMPS bound.
 //! * [`ch`] — the **weight-independent** contraction order shared by all
 //!   silos: it eliminates only the vertices the index contracts and ranks
 //!   the uncontracted core after them by id.
-//! * [`landmarks`] — landmark selection and landmark distance tables.
+//! * [`landmarks`] — landmark selection, landmark distance tables, and the
+//!   vertex-major [`landmarks::LandmarkBounds`] the [`Graph`] holds.
 //!
 //! Nothing in this crate touches secret data; per-silo weight vectors are
 //! plain `Vec<Weight>` values whose custody is managed by `fedroad-core`.
